@@ -13,7 +13,7 @@
 //	ustore-chaos -days 30 -cpuprofile cpu.out
 //	ustore-chaos -fleet -units 8 -shards 2 -unit-loss   # fleet-scale unit-loss run
 //	ustore-chaos -fleet -units 48 -fleet-bench 1,4,16   # shard-scaling throughput sweep
-//	ustore-chaos -fleet -units 64 -engine-workers 8     # fleet on the parallel engine
+//	ustore-chaos -fleet -units 64 -engine-workers 8     # fleet on 8 engine workers
 //	ustore-chaos -fleet -units 64 -shards 8 -crashes 3 -partitions 2 -moves 2
 //	                                                    # fleet chaos: crash/partition/
 //	                                                    # mid-migration fault schedule
@@ -150,7 +150,7 @@ func run() int {
 		units       = flag.Int("units", 8, "fleet mode: deploy units (64 disks each at defaults)")
 		shards      = flag.Int("shards", 1, "fleet mode: metadata shards")
 		unitLoss    = flag.Bool("unit-loss", false, "fleet mode: kill unit u000 after the load phase and require the repair schedulers to drain it")
-		engWorkers  = flag.Int("engine-workers", 0, "fleet mode: run on the parallel conservative engine with this many workers (0 = classic single-threaded scheduler; results are byte-identical at any count >= 1)")
+		engWorkers  = flag.Int("engine-workers", 0, "fleet mode: parallel conservative engine workers (pool size; 0 = 1; results are byte-identical at any count)")
 		crashes     = flag.Int("crashes", 0, "fleet mode: shard-replica crash/restart cycles in the fault schedule")
 		partitions  = flag.Int("partitions", 0, "fleet mode: inter-unit partition (or leader-isolation) windows in the fault schedule")
 		moves       = flag.Int("moves", 0, "fleet mode: schedule-driven slot migrations; the first is straddled by a source-leader crash (needs -shards >= 2)")

@@ -54,11 +54,11 @@ func TestFleetEngineUnitLoss(t *testing.T) {
 	}
 }
 
-// TestFleetEngineByteDeterminism is the tentpole contract: the same seed
-// produces byte-identical logs, summaries, metrics JSON, trace JSON, and
-// event counts at every worker count >= 1. Worker count only sizes the
-// goroutine pool that executes each synchronization window; it never moves
-// a window boundary.
+// TestFleetEngineByteDeterminism is the engine's determinism contract: the
+// same seed produces byte-identical logs, summaries, metrics JSON, trace
+// JSON, and event counts at every worker count, the default 0 (one worker)
+// included. Worker count only sizes the goroutine pool that executes each
+// synchronization window; it never moves a window boundary.
 func TestFleetEngineByteDeterminism(t *testing.T) {
 	units, shards := 8, 2
 	if !testing.Short() {
@@ -68,7 +68,7 @@ func TestFleetEngineByteDeterminism(t *testing.T) {
 	if len(base.Violations) != 0 {
 		t.Fatalf("violations at workers=1:\n%s", strings.Join(base.Violations, "\n"))
 	}
-	for _, workers := range []int{2, 8} {
+	for _, workers := range []int{0, 2, 8} {
 		rep, m, tr := engineFleetRun(t, units, shards, workers)
 		if rep.LogText() != base.LogText() {
 			t.Fatalf("workers=%d: log diverges from workers=1:\n--- w1\n%s\n--- w%d\n%s",

@@ -17,20 +17,12 @@ func Minimize(o Options) (schedule []Fault, minimized, full *Report, err error) 
 	return MinimizeParallel(o, 1)
 }
 
-// MinimizeParallel is Minimize with speculative parallel bisection: instead
-// of probing one prefix length at a time, it expands the upcoming
-// binary-search decision tree — the next midpoint, then both midpoints that
-// could follow it, and so on — until it has up to parallel distinct prefix
-// lengths, probes them all concurrently, and then replays the sequential
-// bisection logic over the collected results.
-//
-// Because every probe is a self-contained deterministic run keyed only by
-// (options, prefix length), a speculated probe returns exactly what the
-// sequential probe at that length would have, so the committed search path —
-// and therefore the minimized schedule and report — is byte-identical to
-// Minimize's. Wrong-branch speculation costs only wasted work, never a
-// different answer. parallel <= 1 degenerates to the plain sequential
-// bisection.
+// MinimizeParallel is Minimize with speculative parallel bisection: each
+// round probes up to parallel prefix lengths concurrently (see
+// bisectPrefix). Because every probe is a self-contained deterministic run
+// keyed only by (options, prefix length), the minimized schedule and report
+// are byte-identical to Minimize's. parallel <= 1 degenerates to the plain
+// sequential bisection.
 //
 // Probe runs never feed o.Recorder (concurrent probes would interleave its
 // trace nondeterministically, and speculated probes would pollute it with
@@ -53,21 +45,39 @@ func MinimizeParallel(o Options, parallel int) (schedule []Fault, minimized, ful
 	if len(full.Violations) == 0 {
 		return nil, nil, full, nil
 	}
+	oProbe := o
+	oProbe.Recorder = nil
+	schedule, minimized, err = bisectPrefix(all, full, parallel,
+		func(prefix []Fault) (*Report, error) { return RunSchedule(oProbe, prefix) },
+		func(r *Report) bool { return len(r.Violations) > 0 })
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("chaos: minimizing: %w", err)
+	}
+	return schedule, minimized, full, nil
+}
+
+// bisectPrefix binary-searches the shortest prefix of the violating
+// schedule all that still violates, given full, the report of all's own
+// run. probe runs one prefix and violates judges its report.
+//
+// Each round expands the upcoming binary-search decision tree breadth-first
+// — the next midpoint, then both midpoints that could follow it, and so on
+// — until it has up to parallel distinct prefix lengths, probes them all
+// concurrently, and then replays the sequential bisection over the
+// collected results. probe must be a deterministic function of the prefix,
+// so speculation never changes the answer, only the work done.
+//
+// Fault interactions are not strictly monotone (a later fault can mask an
+// earlier violation), so the search can converge on the full length; it
+// then returns all and full unchanged.
+func bisectPrefix[F, R any](all []F, full R, parallel int,
+	probe func([]F) (R, error), violates func(R) bool) ([]F, R, error) {
 	if parallel < 1 {
 		parallel = 1
 	}
-	oProbe := o
-	oProbe.Recorder = nil
-
-	// Binary search the smallest k such that schedule[:k] violates. Fault
-	// interactions are not strictly monotone (a later fault can mask an
-	// earlier violation), so the result is confirmed by a final run; if
-	// bisection ever loses the violation, fall back to the full schedule.
 	lo, hi := 1, len(all) // invariant: all[:hi] violates (or hi == len(all))
 	best := full
 	for lo < hi {
-		// Expand the decision tree breadth-first from the current (lo, hi)
-		// until we have up to parallel distinct midpoints to probe.
 		type span struct{ lo, hi int }
 		frontier := []span{{lo, hi}}
 		var mids []int
@@ -86,28 +96,27 @@ func MinimizeParallel(o Options, parallel int) (schedule []Fault, minimized, ful
 			frontier = append(frontier, span{s.lo, mid}, span{mid + 1, s.hi})
 		}
 
-		reports, rerr := runner.MapErr(len(mids), parallel, func(i int) (*Report, error) {
-			return RunSchedule(oProbe, all[:mids[i]])
+		reports, err := runner.MapErr(len(mids), parallel, func(i int) (R, error) {
+			return probe(all[:mids[i]])
 		})
-		if rerr != nil {
-			return nil, nil, nil, fmt.Errorf("chaos: minimizing: %w", rerr)
+		if err != nil {
+			return nil, best, err
 		}
-		byMid := make(map[int]*Report, len(mids))
+		byMid := make(map[int]R, len(mids))
 		for i, mid := range mids {
 			byMid[mid] = reports[i]
 		}
 
-		// Replay the sequential bisection over the probed results. The walk
-		// stops when it needs a midpoint outside this round's speculation
-		// (possible when the tree was cut mid-level); the next round resumes
-		// from there.
+		// The walk stops when it needs a midpoint outside this round's
+		// speculation (possible when the tree was cut mid-level); the next
+		// round resumes from there.
 		for lo < hi {
 			mid := (lo + hi) / 2
 			rep, ok := byMid[mid]
 			if !ok {
 				break
 			}
-			if len(rep.Violations) > 0 {
+			if violates(rep) {
 				hi = mid
 				best = rep
 			} else {
@@ -116,8 +125,7 @@ func MinimizeParallel(o Options, parallel int) (schedule []Fault, minimized, ful
 		}
 	}
 	if lo < len(all) {
-		return all[:lo], best, full, nil
+		return all[:lo], best, nil
 	}
-	// Bisection converged on the full length: re-use the full run.
-	return all, full, full, nil
+	return all, full, nil
 }

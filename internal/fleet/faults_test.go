@@ -102,11 +102,20 @@ func TestRouterRotationWithPartitionedLeader(t *testing.T) {
 	if lead < 0 {
 		t.Fatal("shard 0 leaderless")
 	}
-	f.IsolateUnit(f.ReplicaUnit(0, lead))
+	isolated := f.ReplicaUnit(0, lead)
+	f.IsolateUnit(isolated)
 	// Let the survivors notice the lapsed session and elect; the isolated
-	// replica still believes it leads behind the partition.
+	// replica still believes it leads behind the partition. LeaderReplica
+	// returns the first replica flagged leading, which may be that stale
+	// one, so look for the new leader among the reachable replicas.
 	f.Settle(45 * time.Second)
-	next := f.LeaderReplica(0)
+	next := -1
+	for i, m := range f.Shards[0] {
+		if f.ReplicaUnit(0, i) != isolated && m.leading && !m.down {
+			next = i
+			break
+		}
+	}
 	if next < 0 || next == lead {
 		t.Fatalf("no reachable leader elected: replica %d (isolated %d)", next, lead)
 	}
@@ -133,7 +142,7 @@ func TestRouterRotationWithPartitionedLeader(t *testing.T) {
 			okCount, len(vols), errCount)
 	}
 
-	f.RejoinUnit(f.ReplicaUnit(0, lead))
+	f.RejoinUnit(isolated)
 	f.Settle(45 * time.Second)
 	if n := leadingReplicas(f, 0); n != 1 {
 		t.Fatalf("%d leaders after heal, want 1", n)

@@ -14,17 +14,13 @@
 // (consensus under coord), simnet/simtime (deterministic transport and
 // clock) and placement (the Spread policy extracted from core.Master).
 //
-// Two execution modes share one code path. The default
-// (Config.EngineWorkers == 0) is the classic single scheduler: every
-// component on one event heap, a run with the same seed byte-identical at
-// any -test.cpu / worker count. Setting EngineWorkers >= 1 runs the fleet
-// on the conservative parallel engine (simtime.Engine + simnet.Fabric,
-// DESIGN.md §14): one partition per deploy unit plus a control partition,
-// synchronized in lookahead-bounded windows. The engine keeps the same
-// determinism contract — worker count only sizes the pool that executes a
-// window, so engine runs are byte-identical at any EngineWorkers >= 1 —
-// but engine and classic runs legitimately differ from each other, because
-// the fabric charges every cross-unit hop the conservative lookahead.
+// Execution: the fleet runs on the conservative parallel engine
+// (simtime.Engine + simnet.Fabric, DESIGN.md §14): one partition per deploy
+// unit plus a control partition, synchronized in lookahead-bounded windows.
+// The fabric charges every cross-unit hop at least the 1 ms lookahead.
+// Config.EngineWorkers only sizes the pool that executes a window (one
+// worker is the sequential mode), so a run with the same seed is
+// byte-identical at any worker count.
 package fleet
 
 import (
@@ -113,13 +109,11 @@ type Config struct {
 	// Recorder receives fleet metrics and traces (nil = no recording).
 	Recorder *obs.Recorder
 
-	// EngineWorkers > 0 runs the fleet on the conservative parallel engine:
-	// the event space is partitioned per deploy unit (plus one control
-	// partition for the admin plane and client routers) and windows execute
-	// on up to EngineWorkers goroutines. 0 (the default) keeps the classic
-	// single-scheduler simulation. A partitioned run is byte-identical at
-	// any worker count >= 1, but its event interleaving legitimately
-	// differs from the single-scheduler one.
+	// EngineWorkers is the goroutine pool size that executes each engine
+	// window (<= 0 means 1, the sequential mode). The event space is always
+	// partitioned per deploy unit plus one control partition for the admin
+	// plane and client routers, so the pool size never changes a run's
+	// output.
 	EngineWorkers int
 }
 
@@ -191,6 +185,9 @@ func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
+	if c.EngineWorkers <= 0 {
+		c.EngineWorkers = 1
+	}
 	return c
 }
 
@@ -202,9 +199,9 @@ type Fleet struct {
 	Net   *simnet.Network
 	Topo  *Topology
 
-	// Engine/Fabric are set when Cfg.EngineWorkers > 0: partition 0 is the
-	// control plane (admin node, routers, the Settle driver) and partition
-	// 1+u is deploy unit u. Sched/Net then alias the control partition.
+	// Engine/Fabric run the fleet: partition 0 is the control plane (admin
+	// node, routers, the Settle driver) and partition 1+u is deploy unit u.
+	// Sched/Net are the control partition's handles.
 	Engine *simtime.Engine
 	Fabric *simnet.Fabric
 
@@ -217,21 +214,20 @@ type Fleet struct {
 
 	rec   *obs.Recorder
 	admin *simnet.RPCNode
-	// nets/recs are the per-partition network and recorder handles in
-	// engine mode (index = partition).
+	// nets/recs are the per-partition network and recorder handles (index
+	// = partition).
 	nets []*simnet.Network
 	recs []*obs.Recorder
-	// userRec is Cfg.Recorder; FinishObs folds the partition recorders
-	// into it once an engine-mode run completes.
-	userRec     *obs.Recorder
+	// obsFinished records that FinishObs already folded recs into
+	// Cfg.Recorder.
 	obsFinished bool
 	// replicaNames[k] lists shard k's master RPC names — static topology,
 	// safe to read from any partition.
 	replicaNames [][]string
 	// adminBelieved[k] is the control plane's believed-leader replica index
-	// for shard k. Engine mode cannot peek other partitions' leader flags
-	// mid-run, so the admin discovers leaders like clients do: call the
-	// believed replica, rotate on failure.
+	// for shard k. The control partition cannot peek other partitions'
+	// leader flags mid-run, so the admin discovers leaders like clients do:
+	// call the believed replica, rotate on failure.
 	adminBelieved []int
 	// authMap is the admin plane's authoritative shard map (advanced by
 	// MoveSlot; routers bootstrap from a clone).
@@ -250,24 +246,16 @@ type Fleet struct {
 // crosses a deploy-unit boundary takes at least this long.
 const crossUnitLatency = time.Millisecond
 
-// part bundles the simulation handles a component is built on: in engine
-// mode each deploy unit gets its own scheduler/network/recorder triple, in
-// classic mode every part aliases the shared one.
+// part bundles the simulation handles a component is built on: each
+// partition has its own scheduler/network/recorder triple.
 type part struct {
 	sched *simtime.Scheduler
 	net   *simnet.Network
 	rec   *obs.Recorder
 }
 
-// ctrlPart is the control plane's partition (the shared triple in classic
-// mode).
-func (f *Fleet) ctrlPart() part { return part{f.Sched, f.Net, f.rec} }
-
 // unitPart is the partition deploy unit u's processes run on.
 func (f *Fleet) unitPart(u int) part {
-	if f.Engine == nil {
-		return part{f.Sched, f.Net, f.rec}
-	}
 	return part{f.Engine.Part(1 + u), f.nets[1+u], f.recs[1+u]}
 }
 
@@ -289,42 +277,31 @@ func New(cfg Config) *Fleet {
 	f := &Fleet{
 		Cfg:          cfg,
 		Topo:         buildTopology(cfg),
-		userRec:      cfg.Recorder,
 		deadUnits:    make(map[string]bool),
 		pendingMoves: make(map[int]int),
 	}
-	if cfg.EngineWorkers > 0 {
-		parts := cfg.Units + 1
-		f.Engine = simtime.NewEngine(cfg.Seed, parts, cfg.EngineWorkers, crossUnitLatency)
-		f.Fabric = simnet.NewFabric(f.Engine)
-		f.nets = make([]*simnet.Network, parts)
-		f.recs = make([]*obs.Recorder, parts)
-		for p := 0; p < parts; p++ {
-			f.nets[p] = f.Fabric.Network(p)
-			if cfg.Recorder != nil {
-				r := obs.NewRecorder()
-				psched := f.Engine.Part(p)
-				r.BindClock(func() time.Duration { return psched.Now() })
-				f.nets[p].SetRecorder(r)
-				f.recs[p] = r
-			}
-		}
-		f.Sched, f.Net, f.rec = f.Engine.Part(0), f.nets[0], f.recs[0]
-		f.adminBelieved = make([]int, cfg.Shards)
-	} else {
-		sched := simtime.NewScheduler(cfg.Seed)
-		net := simnet.New(sched)
+	parts := cfg.Units + 1
+	f.Engine = simtime.NewEngine(cfg.Seed, parts, cfg.EngineWorkers, crossUnitLatency)
+	f.Fabric = simnet.NewFabric(f.Engine)
+	f.nets = make([]*simnet.Network, parts)
+	f.recs = make([]*obs.Recorder, parts)
+	for p := 0; p < parts; p++ {
+		f.nets[p] = f.Fabric.Network(p)
 		if cfg.Recorder != nil {
-			cfg.Recorder.BindClock(func() time.Duration { return sched.Now() })
-			net.SetRecorder(cfg.Recorder)
+			r := obs.NewRecorder()
+			psched := f.Engine.Part(p)
+			r.BindClock(func() time.Duration { return psched.Now() })
+			f.nets[p].SetRecorder(r)
+			f.recs[p] = r
 		}
-		f.Sched, f.Net, f.rec = sched, net, cfg.Recorder
 	}
+	f.Sched, f.Net, f.rec = f.Engine.Part(0), f.nets[0], f.recs[0]
+	f.adminBelieved = make([]int, cfg.Shards)
 
 	// Shard groups: R coord replicas + R shard masters per shard, each
-	// replica pair colocated on a distinct unit's machine — and, in engine
-	// mode, built on that unit's partition so the group's paxos traffic is
-	// partition-local except for cross-unit hops through the fabric.
+	// replica pair colocated on a distinct unit's machine and built on that
+	// unit's partition, so the group's paxos traffic is partition-local
+	// except for cross-unit hops through the fabric.
 	replicas := make([][]string, cfg.Shards)
 	for k := 0; k < cfg.Shards; k++ {
 		peers := make([]string, cfg.ShardReplicas)
@@ -372,33 +349,21 @@ func New(cfg Config) *Fleet {
 }
 
 // Settle runs the simulation for d of virtual time.
-func (f *Fleet) Settle(d time.Duration) {
-	if f.Engine != nil {
-		f.Engine.RunFor(d)
-		return
-	}
-	f.Sched.RunFor(d)
-}
+func (f *Fleet) Settle(d time.Duration) { f.Engine.RunFor(d) }
 
 // EventsFired is the total number of simulation events executed so far,
-// summed over partitions in engine mode.
-func (f *Fleet) EventsFired() uint64 {
-	if f.Engine != nil {
-		return f.Engine.Fired()
-	}
-	return f.Sched.Fired()
-}
+// summed over partitions.
+func (f *Fleet) EventsFired() uint64 { return f.Engine.Fired() }
 
-// FinishObs folds the per-partition recorders into Cfg.Recorder after an
-// engine-mode run: series sum, trace events interleave in timestamp order.
-// Idempotent; a no-op in classic mode (where Cfg.Recorder records directly).
+// FinishObs folds the per-partition recorders into Cfg.Recorder after a
+// run: series sum, trace events interleave in timestamp order. Idempotent.
 func (f *Fleet) FinishObs() {
-	if f.Engine == nil || f.userRec == nil || f.obsFinished {
+	if f.Cfg.Recorder == nil || f.obsFinished {
 		return
 	}
 	f.obsFinished = true
-	f.userRec.BindClock(func() time.Duration { return f.Engine.Now() })
-	obs.MergeRecorders(f.userRec, f.recs...)
+	f.Cfg.Recorder.BindClock(func() time.Duration { return f.Engine.Now() })
+	obs.MergeRecorders(f.Cfg.Recorder, f.recs...)
 }
 
 // Leader returns shard k's current leader master, or nil if the group is
@@ -410,14 +375,6 @@ func (f *Fleet) Leader(k int) *ShardMaster {
 		}
 	}
 	return nil
-}
-
-// leaderNode returns shard k's leader RPC node name ("" if none).
-func (f *Fleet) leaderNode(k int) string {
-	if m := f.Leader(k); m != nil {
-		return m.rpcName
-	}
-	return ""
 }
 
 // AuthMap returns a clone of the admin plane's authoritative shard map.
@@ -482,66 +439,19 @@ func (f *Fleet) DrainDisk(diskID string) {
 	}
 }
 
-// adminCall finds shard's leader and calls method from the admin node,
-// retrying (with leader re-resolution) on timeouts, lost leadership, and
-// leaderless windows.
+// adminCall calls method on shard's believed-leader replica from the admin
+// node, rotating the belief and retrying (500ms apart, up to attempts more
+// times) on timeout or NotLeader, and retrying in place on Busy. All state
+// it touches (adminBelieved, the retry timer) lives on the control
+// partition; replica names are static topology.
 func (f *Fleet) adminCall(shard int, method string, args any, attempts int, done func(res any, err error)) {
-	f.adminCallFrom(f.admin, shard, method, args, attempts, done)
-}
-
-// adminCallFrom is adminCall sending from an arbitrary RPC node (shard
-// masters use it for cross-shard FreeForeign notifications in classic
-// mode). In engine mode the leader peek below would read another
-// partition's state mid-window, so the call rotates through believed
-// leaders instead.
-func (f *Fleet) adminCallFrom(from *simnet.RPCNode, shard int, method string, args any, attempts int, done func(res any, err error)) {
-	if f.Engine != nil {
-		f.adminRotate(shard, method, args, attempts, done)
-		return
-	}
 	retry := func(err error) {
 		if attempts <= 0 {
 			done(nil, err)
 			return
 		}
 		f.Sched.After(500*time.Millisecond, func() {
-			f.adminCallFrom(from, shard, method, args, attempts-1, done)
-		})
-	}
-	target := f.leaderNode(shard)
-	if target == "" {
-		retry(fmt.Errorf("fleet: no leader for shard %d", shard))
-		return
-	}
-	from.Call(target, method, args, 256, f.Cfg.RPCTimeout, func(res any, err error) {
-		if err != nil {
-			retry(err)
-			return
-		}
-		sr := res.(shardReplier).common()
-		switch {
-		case sr.OK:
-			done(res, nil)
-		case sr.NotLeader || sr.Busy:
-			retry(fmt.Errorf("fleet: %s on shard %d: not leader/busy", method, shard))
-		default:
-			done(nil, fmt.Errorf("fleet: %s on shard %d: %s", method, shard, sr.Err))
-		}
-	})
-}
-
-// adminRotate is the engine-mode adminCall: call the believed-leader
-// replica of the shard, rotate the belief and retry on timeout or
-// NotLeader. All state it touches (adminBelieved, the retry timer) lives on
-// the control partition; replica names are static topology.
-func (f *Fleet) adminRotate(shard int, method string, args any, attempts int, done func(res any, err error)) {
-	retry := func(err error) {
-		if attempts <= 0 {
-			done(nil, err)
-			return
-		}
-		f.Sched.After(500*time.Millisecond, func() {
-			f.adminRotate(shard, method, args, attempts-1, done)
+			f.adminCall(shard, method, args, attempts-1, done)
 		})
 	}
 	names := f.replicaNames[shard]
