@@ -21,14 +21,50 @@
 //	                                                    # plant the skipped-redrive bug,
 //	                                                    # shrink to the violating prefix
 //	ustore-chaos -spec scenario.yaml                    # one declarative spec-file run
+//	ustore-chaos -spec scenario.yaml -seeds 4 -log      # the same, swept over 4 seeds
 //
-// -seeds N runs N consecutive seeds starting at -seed; -parallel P spreads
-// independent runs over P workers (<1 = one per CPU). Every run is its own
-// deterministic simulation, so the per-seed reports are byte-identical at
-// any worker count, and -minimize speculatively probes bisection prefixes
-// in parallel while committing the exact sequential search path. With
-// -seeds > 1, -metrics-out / -trace-out write one file per seed (the seed
-// number is inserted before the extension).
+// Every run is one experiment spec (internal/spec). -spec names the file;
+// without it the run starts from the document "mode: faults". Each
+// scenario flag set on the command line overrides one spec path, on top of
+// the file, so -spec composes with flags and a flag run and a -spec run
+// take the same decode → validate → compile → run path:
+//
+//	flag                 spec path
+//	-seed N              seed
+//	-days D              days
+//	-fleet               mode: fleet
+//	-tenants             mode: traffic
+//	-gray                faults.gray
+//	-mitigation          faults.mitigation
+//	-no-checksums        faults.no_checksums
+//	-stale-lease         faults.stale_lease
+//	-quarantine-blind    faults.quarantine_blind
+//	-storm               traffic.storm
+//	-protect             traffic.protect
+//	-units N             fleet.units
+//	-shards N            fleet.shards
+//	-unit-loss           fleet.unit_loss
+//	-engine-workers N    fleet.engine_workers
+//	-crashes N           fleet.crashes
+//	-partitions N        fleet.partitions
+//	-moves N             fleet.slot_moves
+//	-fault-window D      fleet.fault_window_sec (D converted to seconds)
+//	-skip-redrive        fleet.skip_redrive
+//	-log                 output.log
+//
+// Each mode reads only some spec sections (faults: days, faults, failure,
+// output; traffic: days, traffic, output; fleet: fleet, output), so a flag
+// the chosen mode would ignore is an error naming the flag, as are two
+// flags that set one path to different values (-fleet -tenants).
+//
+// The other flags control how the spec runs, in every mode it allows.
+// -seeds N runs N consecutive seeds starting at the spec's seed; -parallel
+// P spreads independent runs over P workers (<1 = one per CPU). Every run
+// is its own deterministic simulation, so the per-seed reports are
+// byte-identical at any worker count, and -minimize speculatively probes
+// bisection prefixes in parallel while committing the exact sequential
+// search path. With -seeds > 1, -metrics-out / -trace-out / -slo-out write
+// one file per seed (the seed number is inserted before the extension).
 //
 // -metrics-out writes the run's metrics registry as JSON (or Prometheus
 // text with a .prom suffix); -trace-out writes a Chrome trace_event file
@@ -36,13 +72,16 @@
 // -memprofile write runtime/pprof profiles like go test's flags of the
 // same names.
 //
-// Exit status 1 means at least one invariant was violated.
+// Exit status 1 means at least one invariant was violated; 2 means bad
+// flags or a bad spec.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -53,7 +92,274 @@ import (
 	"ustore/internal/obs"
 	"ustore/internal/prof"
 	"ustore/internal/spec"
+	"ustore/internal/workload"
 )
+
+// scenarioFlags are the flags that describe the run. Each overrides the
+// spec path beside it ("mode=<m>" sets mode to m when the flag is true);
+// its value reaches the run only as spec text, checked by the spec
+// decoder like a document value.
+var scenarioFlags = []struct {
+	name, path string
+	isBool     bool
+	def        string // default shown by -h; the spec supplies the real one
+	usage      string
+}{
+	{"seed", "seed", false, "1", "schedule + simulation seed (first seed of a sweep)"},
+	{"days", "days", false, "2", "fault-phase length in simulated days"},
+	{"fleet", "mode=fleet", true, "", "run the fleet-scale harness (sharded metadata control plane) instead of a fault schedule"},
+	{"tenants", "mode=traffic", true, "", "run the multi-tenant traffic engine instead of a fault schedule (per-class SLO report)"},
+	{"gray", "faults.gray", true, "", "inject gray faults: fail-slow disks, USB link flaps/downgrades, host brownouts"},
+	{"mitigation", "faults.mitigation", true, "", "enable the detect-quarantine-hedge mitigation stack (usually with -gray)"},
+	{"no-checksums", "faults.no_checksums", true, "", "disable per-block CRCs (silent corruption reaches clients)"},
+	{"stale-lease", "faults.stale_lease", true, "", "inject the stale-lease failover bug (model-checker demo; pairs with -minimize)"},
+	{"quarantine-blind", "faults.quarantine_blind", true, "", "make the allocator ignore quarantine (invariant-checker demo; needs -mitigation)"},
+	{"storm", "traffic.storm", true, "", "add the restore-storm waves to a -tenants run"},
+	{"protect", "traffic.protect", true, "", "arm the admission/throttle/autoscale protection stack in a -tenants run"},
+	{"units", "fleet.units", false, "8", "fleet mode: deploy units (64 disks each at defaults)"},
+	{"shards", "fleet.shards", false, "1", "fleet mode: metadata shards"},
+	{"unit-loss", "fleet.unit_loss", true, "", "fleet mode: kill unit u000 after the load phase and require the repair schedulers to drain it"},
+	{"engine-workers", "fleet.engine_workers", false, "", "fleet mode: parallel conservative engine workers (pool size; 0 = 1; results are byte-identical at any count)"},
+	{"crashes", "fleet.crashes", false, "", "fleet mode: shard-replica crash/restart cycles in the fault schedule"},
+	{"partitions", "fleet.partitions", false, "", "fleet mode: inter-unit partition (or leader-isolation) windows in the fault schedule"},
+	{"moves", "fleet.slot_moves", false, "", "fleet mode: schedule-driven slot migrations; the first is straddled by a source-leader crash (needs -shards >= 2)"},
+	{"fault-window", "fleet.fault_window_sec", false, "", "fleet mode: fault phase length, a duration (default 2m when any fault knob is set)"},
+	{"skip-redrive", "fleet.skip_redrive", true, "", "fleet mode: plant the skipped-ledger-re-drive recovery bug (model-checker demo; pairs with -minimize)"},
+	{"log", "output.log", true, "", "print the full event log"},
+}
+
+// specFlag is a scenario flag's value: spec text for one path.
+type specFlag struct {
+	path, text string
+	isBool     bool
+}
+
+func (f *specFlag) String() string {
+	if f == nil {
+		return ""
+	}
+	return f.text
+}
+
+func (f *specFlag) IsBoolFlag() bool { return f.isBool }
+
+// Set stores the flag's text in the spec's scalar form: a bool as
+// true/false, the -fault-window duration as seconds.
+func (f *specFlag) Set(s string) error {
+	switch {
+	case f.isBool:
+		b, err := strconv.ParseBool(s)
+		if err != nil {
+			return err
+		}
+		s = strconv.FormatBool(b)
+	case strings.HasSuffix(f.path, "_sec"):
+		d, err := time.ParseDuration(s)
+		if err != nil {
+			return err
+		}
+		s = strconv.FormatFloat(d.Seconds(), 'g', -1, 64)
+	}
+	f.text = s
+	return nil
+}
+
+// cli is one resolved invocation: the decoded spec plus the run-control
+// flags.
+type cli struct {
+	stdout, stderr io.Writer
+
+	spec                 *spec.Spec
+	seeds, parallel      int
+	minimize, showSched  bool
+	metricsOut, traceOut string
+	sloOut               string
+	fleetBench, benchOut string
+	cpuProfile           string
+	memProfile           string
+}
+
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	c, err := parseArgs(args, stderr)
+	if err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		if !errors.Is(err, errFlagSyntax) {
+			fmt.Fprintf(stderr, "ustore-chaos: %v\n", err)
+		}
+		return 2
+	}
+	c.stdout = stdout
+
+	stopProf, err := prof.Start(c.cpuProfile, c.memProfile)
+	if err != nil {
+		return c.fail("%v", err)
+	}
+	defer func() {
+		if err := stopProf(); err != nil {
+			c.fail("%v", err)
+		}
+	}()
+	if c.spec.Mode == "fleet" {
+		return c.runFleet(campaign.CompileFleet(c.spec))
+	}
+	return c.runChaos(campaign.CompileChaos(c.spec))
+}
+
+// errFlagSyntax marks a command line the flag package already rejected
+// (and printed usage for).
+var errFlagSyntax = errors.New("bad flag syntax")
+
+// parseArgs resolves a command line into its decoded spec and run-control
+// settings, applying every rule that makes an invocation invalid.
+func parseArgs(args []string, stderr io.Writer) (*cli, error) {
+	c := &cli{stderr: stderr}
+	fs := flag.NewFlagSet("ustore-chaos", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	specPath := fs.String("spec", "", "experiment spec file (YAML/JSON, no grid) the scenario flags override; without it the run starts from mode: faults (grids belong to ustore-campaign)")
+	fs.IntVar(&c.seeds, "seeds", 1, "number of consecutive seeds to run")
+	fs.IntVar(&c.parallel, "parallel", 1, "workers for a seed sweep or -minimize probing (<1 = one per CPU)")
+	fs.BoolVar(&c.minimize, "minimize", false, "on violation, bisect the schedule to the shortest violating prefix")
+	fs.BoolVar(&c.showSched, "schedule", false, "print the generated fault schedule")
+	fs.StringVar(&c.fleetBench, "fleet-bench", "", "fleet mode: comma-separated shard counts to measure allocation throughput for (e.g. 1,4,16)")
+	fs.StringVar(&c.benchOut, "bench-out", "", "fleet mode: write the -fleet-bench JSON to this file (default stdout)")
+	fs.StringVar(&c.sloOut, "slo-out", "", "write the traffic run's SLO report to this file")
+	fs.StringVar(&c.metricsOut, "metrics-out", "", "write end-of-run metrics to this file (JSON, or Prometheus text if it ends in .prom)")
+	fs.StringVar(&c.traceOut, "trace-out", "", "write a Chrome trace_event JSON file for chrome://tracing")
+	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&c.memProfile, "memprofile", "", "write a heap profile to this file on exit")
+
+	for _, sf := range scenarioFlags {
+		fs.Var(&specFlag{path: sf.path, text: sf.def, isBool: sf.isBool}, sf.name, sf.usage)
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil, err
+		}
+		return nil, errFlagSyntax
+	}
+
+	var overrides []spec.Override
+	fs.Visit(func(fl *flag.Flag) {
+		f, ok := fl.Value.(*specFlag)
+		if !ok {
+			return
+		}
+		path, val := f.path, f.text
+		if p, mode, isMode := strings.Cut(path, "="); isMode {
+			if val != "true" {
+				return
+			}
+			path, val = p, mode
+		}
+		overrides = append(overrides, spec.Override{Path: path, Value: val, Flag: "-" + fl.Name})
+	})
+	data, file := []byte("mode: faults\n"), "flags"
+	if *specPath != "" {
+		var err error
+		if data, err = os.ReadFile(*specPath); err != nil {
+			return nil, err
+		}
+		file = *specPath
+	}
+	f, err := spec.ParseWith(data, file, overrides)
+	if err != nil {
+		return nil, err
+	}
+	if len(f.Axes) > 0 {
+		return nil, fmt.Errorf("%s has a parameter grid; run it with ustore-campaign -spec %s", file, file)
+	}
+	c.spec = f.Spec
+	return c, c.checkRunControl()
+}
+
+// checkRunControl applies the rules for the run-control flags, which
+// depend on the decoded mode rather than on other flags.
+func (c *cli) checkRunControl() error {
+	mode := c.spec.Mode
+	switch {
+	case mode != "faults" && mode != "traffic" && mode != "fleet":
+		return fmt.Errorf("spec mode %q runs under ustore-campaign, not ustore-chaos", mode)
+	case c.seeds < 1:
+		return errors.New("-seeds must be >= 1")
+	case c.minimize && c.seeds > 1:
+		return errors.New("-minimize works on a single seed (drop -seeds)")
+	case c.minimize && mode == "traffic":
+		return errors.New("-minimize cannot combine with mode traffic (a traffic run has no fault schedule to shrink)")
+	case c.traceOut != "" && mode == "fleet":
+		return errors.New("-trace-out cannot combine with mode fleet")
+	case c.fleetBench != "" && mode != "fleet":
+		return errors.New("-fleet-bench needs mode fleet (-fleet)")
+	case c.benchOut != "" && mode != "fleet":
+		return errors.New("-bench-out needs mode fleet (-fleet)")
+	case c.sloOut != "" && mode != "traffic":
+		return errors.New("-slo-out needs mode traffic (-tenants)")
+	}
+	return nil
+}
+
+// fail reports a run error on stderr and returns exit status 2.
+func (c *cli) fail(format string, a ...any) int {
+	fmt.Fprintf(c.stderr, "ustore-chaos: "+format+"\n", a...)
+	return 2
+}
+
+func exitStatus(violated bool) int {
+	if violated {
+		return 1
+	}
+	return 0
+}
+
+// recorders returns the per-seed Recorder lookup Sweep takes: a fresh
+// Recorder for each of the run's seeds when it writes metrics or a trace,
+// nil otherwise.
+func (c *cli) recorders(first int64) func(seed int64) *obs.Recorder {
+	if c.metricsOut == "" && c.traceOut == "" {
+		return nil
+	}
+	recs := make([]*obs.Recorder, c.seeds)
+	for i := range recs {
+		recs[i] = obs.NewRecorder()
+	}
+	return func(seed int64) *obs.Recorder { return recs[seed-first] }
+}
+
+// writeFiles writes one seed's requested output files. A sweep inserts
+// the seed into each name so per-seed outputs don't clobber each other:
+// m.json -> m.seed7.json.
+func (c *cli) writeFiles(seed int64, recFor func(seed int64) *obs.Recorder, slo *workload.SLOReport) int {
+	path := func(p string) string {
+		if c.seeds == 1 {
+			return p
+		}
+		if i := strings.LastIndexByte(p, '.'); i > strings.LastIndexByte(p, '/') {
+			return fmt.Sprintf("%s.seed%d%s", p[:i], seed, p[i:])
+		}
+		return fmt.Sprintf("%s.seed%d", p, seed)
+	}
+	if c.metricsOut != "" {
+		if err := writeMetrics(recFor(seed), path(c.metricsOut)); err != nil {
+			return c.fail("writing metrics: %v", err)
+		}
+	}
+	if c.traceOut != "" {
+		if err := writeTrace(recFor(seed), path(c.traceOut)); err != nil {
+			return c.fail("writing trace: %v", err)
+		}
+	}
+	if c.sloOut != "" {
+		if err := os.WriteFile(path(c.sloOut), []byte(slo.Text()), 0o644); err != nil {
+			return c.fail("writing SLO report: %v", err)
+		}
+	}
+	return 0
+}
 
 // writeMetrics dumps the registry to path: Prometheus text for .prom files,
 // JSON otherwise.
@@ -76,15 +382,6 @@ func writeTrace(rec *obs.Recorder, path string) error {
 	}
 	defer f.Close()
 	return rec.Tracer().WriteChromeTrace(f)
-}
-
-// seedPath inserts ".seed<n>" before path's extension, so a sweep's
-// per-seed outputs don't clobber each other: m.json -> m.seed7.json.
-func seedPath(path string, seed int64) string {
-	if i := strings.LastIndexByte(path, '.'); i > strings.LastIndexByte(path, '/') {
-		return fmt.Sprintf("%s.seed%d%s", path[:i], seed, path[i:])
-	}
-	return fmt.Sprintf("%s.seed%d", path, seed)
 }
 
 // mixHeader renders the run header: the effective fault mix and injected
@@ -130,401 +427,124 @@ func mixHeader(o chaos.Options, seeds int) string {
 	return h
 }
 
-func main() {
-	os.Exit(run())
-}
-
-func run() int {
-	var (
-		specPath    = flag.String("spec", "", "run one experiment spec file (YAML/JSON, no grid) instead of flag-built options; grids belong to ustore-campaign")
-		seed        = flag.Int64("seed", 1, "schedule + simulation seed (first seed of a sweep)")
-		seeds       = flag.Int("seeds", 1, "number of consecutive seeds to run")
-		parallel    = flag.Int("parallel", 1, "workers for a seed sweep or -minimize probing (<1 = one per CPU)")
-		days        = flag.Float64("days", 2, "fault-phase length in simulated days")
-		noChecksums = flag.Bool("no-checksums", false, "disable per-block CRCs (silent corruption reaches clients)")
-		staleLease  = flag.Bool("stale-lease", false, "inject the stale-lease failover bug (model-checker demo; pairs with -minimize)")
-		gray        = flag.Bool("gray", false, "inject gray faults: fail-slow disks, USB link flaps/downgrades, host brownouts")
-		mitigation  = flag.Bool("mitigation", false, "enable the detect-quarantine-hedge mitigation stack (usually with -gray)")
-		quarBlind   = flag.Bool("quarantine-blind", false, "make the allocator ignore quarantine (invariant-checker demo; needs -mitigation)")
-		fleetMode   = flag.Bool("fleet", false, "run the fleet-scale harness (sharded metadata control plane) instead of a fault schedule")
-		units       = flag.Int("units", 8, "fleet mode: deploy units (64 disks each at defaults)")
-		shards      = flag.Int("shards", 1, "fleet mode: metadata shards")
-		unitLoss    = flag.Bool("unit-loss", false, "fleet mode: kill unit u000 after the load phase and require the repair schedulers to drain it")
-		engWorkers  = flag.Int("engine-workers", 0, "fleet mode: parallel conservative engine workers (pool size; 0 = 1; results are byte-identical at any count)")
-		crashes     = flag.Int("crashes", 0, "fleet mode: shard-replica crash/restart cycles in the fault schedule")
-		partitions  = flag.Int("partitions", 0, "fleet mode: inter-unit partition (or leader-isolation) windows in the fault schedule")
-		moves       = flag.Int("moves", 0, "fleet mode: schedule-driven slot migrations; the first is straddled by a source-leader crash (needs -shards >= 2)")
-		faultWindow = flag.Duration("fault-window", 0, "fleet mode: fault phase length (default 2m when any fault knob is set)")
-		skipRedrive = flag.Bool("skip-redrive", false, "fleet mode: plant the skipped-ledger-re-drive recovery bug (model-checker demo; pairs with -minimize)")
-		fleetBench  = flag.String("fleet-bench", "", "fleet mode: comma-separated shard counts to measure allocation throughput for (e.g. 1,4,16)")
-		benchOut    = flag.String("bench-out", "", "fleet mode: write the -fleet-bench JSON to this file (default stdout)")
-		tenants     = flag.Bool("tenants", false, "run the multi-tenant traffic engine instead of a fault schedule (per-class SLO report)")
-		storm       = flag.Bool("storm", false, "add the restore-storm waves to a -tenants run")
-		protect     = flag.Bool("protect", false, "arm the admission/throttle/autoscale protection stack in a -tenants run")
-		streamQuant = flag.Bool("stream-quantiles", false, "tenants mode: O(1)-memory P² streaming percentile estimators in the SLO report (percentiles approximate, counts and max exact)")
-		sloOut      = flag.String("slo-out", "", "write the -tenants run's SLO report to this file")
-		minimize    = flag.Bool("minimize", false, "on violation, bisect the schedule to the shortest violating prefix")
-		showLog     = flag.Bool("log", false, "print the full event log")
-		showSched   = flag.Bool("schedule", false, "print the generated fault schedule")
-		metricsOut  = flag.String("metrics-out", "", "write end-of-run metrics to this file (JSON, or Prometheus text if it ends in .prom)")
-		traceOut    = flag.String("trace-out", "", "write a Chrome trace_event JSON file for chrome://tracing")
-		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile  = flag.String("memprofile", "", "write a heap profile to this file on exit")
-	)
-	flag.Parse()
-	if *specPath != "" {
-		return runSpec(*specPath, *showSched, *showLog)
-	}
-	if *days <= 0 {
-		fmt.Fprintln(os.Stderr, "ustore-chaos: -days must be positive")
-		return 2
-	}
-	if *seeds < 1 {
-		fmt.Fprintln(os.Stderr, "ustore-chaos: -seeds must be >= 1")
-		return 2
-	}
-	// Only genuinely incompatible combinations are rejected. In particular
-	// -stale-lease composes fine with -seeds: every seed of a sweep is an
-	// independent deterministic run, so the injected bug simply rides along
-	// in each of them.
-	if *seeds > 1 && *minimize {
-		fmt.Fprintln(os.Stderr, "ustore-chaos: -minimize works on a single seed (drop -seeds)")
-		return 2
-	}
-	if *quarBlind && !*mitigation {
-		fmt.Fprintln(os.Stderr, "ustore-chaos: -quarantine-blind needs -mitigation (without quarantine there is no allocator exclusion to ignore)")
-		return 2
-	}
-	// Fleet-mode flag dependencies: the fleet harness replaces both the
-	// fault schedule and the traffic engine, so its shaping flags need
-	// -fleet and -fleet can't combine with the other run modes.
-	if !*fleetMode {
-		for _, dep := range []struct {
-			set  bool
-			name string
-		}{{*unitLoss, "-unit-loss"}, {*fleetBench != "", "-fleet-bench"}, {*benchOut != "", "-bench-out"},
-			{*engWorkers != 0, "-engine-workers"}, {*crashes != 0, "-crashes"},
-			{*partitions != 0, "-partitions"}, {*moves != 0, "-moves"},
-			{*faultWindow != 0, "-fault-window"}, {*skipRedrive, "-skip-redrive"}} {
-			if dep.set {
-				fmt.Fprintf(os.Stderr, "ustore-chaos: %s needs -fleet (it shapes the fleet run)\n", dep.name)
-				return 2
-			}
+// runChaos executes a faults- or traffic-mode run: one seed, a seed sweep,
+// or a schedule-minimizing run, printing each seed's report in seed order.
+func (c *cli) runChaos(o chaos.Options) int {
+	fmt.Fprintln(c.stdout, mixHeader(o, c.seeds))
+	recFor := c.recorders(o.Seed)
+	var reps []*chaos.Report
+	if c.minimize {
+		if recFor != nil {
+			o.Recorder = recFor(o.Seed)
 		}
-	} else {
-		// -minimize composes with -fleet: it bisects the fleet fault
-		// schedule instead of the cluster one.
-		for _, bad := range []struct {
-			set  bool
-			name string
-		}{{*tenants, "-tenants"}, {*gray, "-gray"}, {*mitigation, "-mitigation"},
-			{*staleLease, "-stale-lease"},
-			{*quarBlind, "-quarantine-blind"}, {*noChecksums, "-no-checksums"},
-			{*traceOut != "", "-trace-out"}} {
-			if bad.set {
-				fmt.Fprintf(os.Stderr, "ustore-chaos: %s cannot combine with -fleet\n", bad.name)
-				return 2
-			}
+		sched, min, full, err := chaos.MinimizeParallel(o, c.parallel)
+		if err != nil {
+			return c.fail("%v", err)
 		}
-	}
-
-	// Traffic-mode flag dependencies: -storm/-protect/-slo-out shape a
-	// tenant traffic run, and traffic mode replaces the fault schedule, so
-	// it cannot combine with the fault-run-only modes.
-	if !*tenants {
-		for _, dep := range []struct {
-			set  bool
-			name string
-		}{{*storm, "-storm"}, {*protect, "-protect"}, {*sloOut != "", "-slo-out"},
-			{*streamQuant, "-stream-quantiles"}} {
-			if dep.set {
-				fmt.Fprintf(os.Stderr, "ustore-chaos: %s needs -tenants (it shapes the traffic run)\n", dep.name)
-				return 2
-			}
-		}
-	} else {
-		for _, bad := range []struct {
-			set  bool
-			name string
-		}{{*gray, "-gray"}, {*mitigation, "-mitigation"}, {*minimize, "-minimize"},
-			{*staleLease, "-stale-lease"}, {*quarBlind, "-quarantine-blind"},
-			{*noChecksums, "-no-checksums"}} {
-			if bad.set {
-				fmt.Fprintf(os.Stderr, "ustore-chaos: %s is a fault-run mode and cannot combine with -tenants\n", bad.name)
-				return 2
-			}
-		}
-	}
-
-	stopProf, err := prof.Start(*cpuProfile, *memProfile)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ustore-chaos: %v\n", err)
-		return 2
-	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintf(os.Stderr, "ustore-chaos: %v\n", err)
-		}
-	}()
-
-	if *fleetMode {
-		base := chaos.FleetOptions{
-			Seed: *seed, Units: *units, Shards: *shards, UnitLoss: *unitLoss,
-			EngineWorkers: *engWorkers, ReplicaCrashes: *crashes,
-			Partitions: *partitions, SlotMoves: *moves, FaultWindow: *faultWindow,
-			InjectSkipRedrive: *skipRedrive,
-		}
-		return runFleetMode(base, *seeds, *parallel, *minimize,
-			*fleetBench, *benchOut, *showLog, *metricsOut)
-	}
-
-	o := chaos.DefaultOptions(*seed, time.Duration(float64(24*time.Hour)*(*days)))
-	o.DisableChecksums = *noChecksums
-	o.InjectStaleLease = *staleLease
-	o.GrayFaults = *gray
-	o.Mitigation = *mitigation
-	o.InjectQuarantineBlind = *quarBlind
-	o.Tenants = *tenants
-	o.Storm = *storm
-	o.Protect = *protect
-	o.StreamQuantiles = *streamQuant
-	if *tenants {
-		// Traffic mode replaces the fault schedule entirely.
-		o.HostCrashes, o.DiskFaults, o.HubFaults, o.NetFaults, o.Corruptions = false, false, false, false, false
-	}
-	fmt.Println(mixHeader(o, *seeds))
-	wantRec := *metricsOut != "" || *traceOut != ""
-
-	if *seeds > 1 {
-		return runSweep(o, *seeds, *parallel, wantRec, *metricsOut, *traceOut, *showSched, *showLog, *sloOut)
-	}
-
-	var rec *obs.Recorder
-	if wantRec {
-		rec = obs.NewRecorder()
-		o.Recorder = rec
-	}
-
-	var rep *chaos.Report
-	if *minimize {
-		var sched []chaos.Fault
-		var min *chaos.Report
-		sched, min, rep, err = chaos.MinimizeParallel(o, *parallel)
-		if err == nil && min != nil {
-			fmt.Printf("minimized schedule: %d of %d faults still violate\n", len(sched), len(rep.Schedule))
+		if min != nil {
+			fmt.Fprintf(c.stdout, "minimized schedule: %d of %d faults still violate\n", len(sched), len(full.Schedule))
 			for _, f := range sched {
-				fmt.Printf("  %-14v %s\n", f.At, f)
+				fmt.Fprintf(c.stdout, "  %-14v %s\n", f.At, f)
 			}
-			rep = min
+			full = min
 		}
+		reps = []*chaos.Report{full}
 	} else {
-		rep, err = chaos.Run(o)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ustore-chaos: %v\n", err)
-		return 2
-	}
-	if *metricsOut != "" {
-		if werr := writeMetrics(rec, *metricsOut); werr != nil {
-			fmt.Fprintf(os.Stderr, "ustore-chaos: writing metrics: %v\n", werr)
-			return 2
-		}
-	}
-	if *traceOut != "" {
-		if werr := writeTrace(rec, *traceOut); werr != nil {
-			fmt.Fprintf(os.Stderr, "ustore-chaos: writing trace: %v\n", werr)
-			return 2
-		}
-	}
-
-	if *sloOut != "" {
-		if werr := writeSLO(rep, *sloOut); werr != nil {
-			fmt.Fprintf(os.Stderr, "ustore-chaos: writing SLO report: %v\n", werr)
-			return 2
-		}
-	}
-
-	if *showSched {
-		for _, f := range rep.Schedule {
-			fmt.Printf("  %-14v %s\n", f.At, f)
-		}
-	}
-	if *showLog {
-		fmt.Println(rep.LogText())
-	}
-	fmt.Print(rep.SummaryText())
-	if len(rep.Violations) > 0 {
-		return 1
-	}
-	return 0
-}
-
-// runSpec executes one spec-file cell through the campaign compiler: the
-// declarative path to exactly the run the flags would build. Grids are
-// ustore-campaign's job — a gridded spec is rejected here so the two
-// tools don't grow divergent sweep semantics.
-func runSpec(path string, showSched, showLog bool) int {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ustore-chaos: %v\n", err)
-		return 2
-	}
-	f, err := spec.Parse(data, path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ustore-chaos: %v\n", err)
-		return 2
-	}
-	if len(f.Axes) > 0 {
-		fmt.Fprintf(os.Stderr, "ustore-chaos: %s has a parameter grid; run it with ustore-campaign -spec %s\n", path, path)
-		return 2
-	}
-	s := f.Spec
-	switch s.Mode {
-	case "faults", "traffic":
-		o := campaign.CompileChaos(s)
-		fmt.Println(mixHeader(o, 1))
-		rep, err := chaos.Run(o)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ustore-chaos: %v\n", err)
-			return 2
-		}
-		if showSched {
-			for _, fa := range rep.Schedule {
-				fmt.Printf("  %-14v %s\n", fa.At, fa)
-			}
-		}
-		if showLog {
-			fmt.Println(rep.LogText())
-		}
-		fmt.Print(rep.SummaryText())
-		if len(rep.Violations) > 0 {
-			return 1
-		}
-		return 0
-	case "fleet":
-		o := campaign.CompileFleet(s)
-		fmt.Printf("ustore-chaos: fleet seed %d, %d units, %d shards, unit-loss=%v, engine-workers=%d\n",
-			o.Seed, o.Units, o.Shards, o.UnitLoss, o.EngineWorkers)
-		rep, err := chaos.RunFleet(o)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ustore-chaos: %v\n", err)
-			return 2
-		}
-		if showLog {
-			fmt.Println(rep.LogText())
-		}
-		fmt.Print(rep.SummaryText())
-		if len(rep.Violations) > 0 {
-			return 1
-		}
-		return 0
-	default:
-		fmt.Fprintf(os.Stderr, "ustore-chaos: spec mode %q runs under ustore-campaign, not ustore-chaos\n", s.Mode)
-		return 2
-	}
-}
-
-// runFleetMode executes the fleet-scale harness: a bench sweep when
-// -fleet-bench is set, a schedule-minimizing run under -minimize, otherwise
-// one run per seed.
-func runFleetMode(base chaos.FleetOptions, seeds, parallel int, minimize bool,
-	benchList, benchOut string, showLog bool, metricsOut string) int {
-	if benchList != "" {
-		return runFleetBench(base.Seed, base.Units, base.EngineWorkers, benchList, benchOut)
-	}
-	header := fmt.Sprintf("ustore-chaos: fleet seed %d", base.Seed)
-	if seeds > 1 {
-		header = fmt.Sprintf("ustore-chaos: fleet seeds %d..%d", base.Seed, base.Seed+int64(seeds)-1)
-	}
-	fmt.Printf("%s, %d units, %d shards, unit-loss=%v, engine-workers=%d\n",
-		header, base.Units, base.Shards, base.UnitLoss, base.EngineWorkers)
-	if base.ReplicaCrashes > 0 || base.Partitions > 0 || base.SlotMoves > 0 {
-		fmt.Printf("fleet faults: %d crashes, %d partitions, %d slot moves, skip-redrive=%v\n",
-			base.ReplicaCrashes, base.Partitions, base.SlotMoves, base.InjectSkipRedrive)
-	}
-
-	if minimize {
-		return runFleetMinimize(base, parallel, showLog)
-	}
-
-	var reps []*chaos.FleetReport
-	if seeds > 1 {
 		var err error
-		reps, err = chaos.FleetSweep(base, seeds, parallel)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ustore-chaos: %v\n", err)
-			return 2
+		if reps, err = chaos.Sweep(o, c.seeds, c.parallel, recFor, chaos.Run); err != nil {
+			return c.fail("%v", err)
 		}
-	} else {
-		var rec *obs.Recorder
-		if metricsOut != "" {
-			rec = obs.NewRecorder()
-			base.Recorder = rec
-		}
-		rep, err := chaos.RunFleet(base)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ustore-chaos: %v\n", err)
-			return 2
-		}
-		if metricsOut != "" {
-			if werr := writeMetrics(rec, metricsOut); werr != nil {
-				fmt.Fprintf(os.Stderr, "ustore-chaos: writing metrics: %v\n", werr)
-				return 2
-			}
-		}
-		reps = []*chaos.FleetReport{rep}
 	}
 
 	violated := false
-	for _, rep := range reps {
-		if showLog {
-			fmt.Println(rep.LogText())
+	for i, rep := range reps {
+		if code := c.writeFiles(o.Seed+int64(i), recFor, rep.SLO); code != 0 {
+			return code
 		}
-		fmt.Print(rep.SummaryText())
-		if len(rep.Violations) > 0 {
-			violated = true
+		if c.showSched {
+			for _, f := range rep.Schedule {
+				fmt.Fprintf(c.stdout, "  %-14v %s\n", f.At, f)
+			}
 		}
+		if c.spec.Output.Log {
+			fmt.Fprintln(c.stdout, rep.LogText())
+		}
+		fmt.Fprint(c.stdout, rep.SummaryText())
+		violated = violated || len(rep.Violations) > 0
 	}
-	if violated {
-		return 1
+	return exitStatus(violated)
+}
+
+// runFleet executes the fleet-scale harness: a bench sweep under
+// -fleet-bench, a schedule-minimizing run under -minimize, otherwise one
+// run per seed.
+func (c *cli) runFleet(o chaos.FleetOptions) int {
+	if c.fleetBench != "" {
+		return c.runFleetBench(o)
 	}
-	return 0
+	header := fmt.Sprintf("ustore-chaos: fleet seed %d", o.Seed)
+	if c.seeds > 1 {
+		header = fmt.Sprintf("ustore-chaos: fleet seeds %d..%d", o.Seed, o.Seed+int64(c.seeds)-1)
+	}
+	fmt.Fprintf(c.stdout, "%s, %d units, %d shards, unit-loss=%v, engine-workers=%d\n",
+		header, o.Units, o.Shards, o.UnitLoss, o.EngineWorkers)
+	if o.ReplicaCrashes > 0 || o.Partitions > 0 || o.SlotMoves > 0 {
+		fmt.Fprintf(c.stdout, "fleet faults: %d crashes, %d partitions, %d slot moves, skip-redrive=%v\n",
+			o.ReplicaCrashes, o.Partitions, o.SlotMoves, o.InjectSkipRedrive)
+	}
+	if c.minimize {
+		return c.runFleetMinimize(o)
+	}
+
+	recFor := c.recorders(o.Seed)
+	reps, err := chaos.Sweep(o, c.seeds, c.parallel, recFor, chaos.RunFleet)
+	if err != nil {
+		return c.fail("%v", err)
+	}
+	violated := false
+	for i, rep := range reps {
+		if code := c.writeFiles(o.Seed+int64(i), recFor, nil); code != 0 {
+			return code
+		}
+		if c.spec.Output.Log {
+			fmt.Fprintln(c.stdout, rep.LogText())
+		}
+		fmt.Fprint(c.stdout, rep.SummaryText())
+		violated = violated || len(rep.Violations) > 0
+	}
+	return exitStatus(violated)
 }
 
 // runFleetMinimize runs the seeded fleet fault schedule and, on violation,
 // bisects (with parallel speculative probes) for the shortest schedule
 // prefix that still violates, then prints the surviving faults — the
 // normal first step when a fleet chaos run goes red.
-func runFleetMinimize(base chaos.FleetOptions, parallel int, showLog bool) int {
-	sched, min, full, err := chaos.MinimizeFleet(base, parallel)
+func (c *cli) runFleetMinimize(o chaos.FleetOptions) int {
+	sched, min, full, err := chaos.MinimizeFleet(o, c.parallel)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "ustore-chaos: %v\n", err)
-		return 2
+		return c.fail("%v", err)
 	}
-	if min == nil {
-		if showLog {
-			fmt.Println(full.LogText())
+	rep := full
+	if min != nil {
+		fmt.Fprintf(c.stdout, "minimized fleet schedule: %d of %d faults still violate\n",
+			len(sched), full.FaultsApplied)
+		for _, ft := range sched {
+			fmt.Fprintf(c.stdout, "  %s\n", ft)
 		}
-		fmt.Print(full.SummaryText())
-		return 0
+		rep = min
 	}
-	fmt.Printf("minimized fleet schedule: %d of %d faults still violate\n",
-		len(sched), full.FaultsApplied)
-	for _, ft := range sched {
-		fmt.Printf("  %s\n", ft)
+	if c.spec.Output.Log {
+		fmt.Fprintln(c.stdout, rep.LogText())
 	}
-	if showLog {
-		fmt.Println(min.LogText())
-	}
-	fmt.Print(min.SummaryText())
-	return 1
+	fmt.Fprint(c.stdout, rep.SummaryText())
+	return exitStatus(min != nil)
 }
 
-// runFleetBench measures allocation throughput at each shard count in
-// benchList (comma-separated) on a fixed fleet, emitting a JSON document to
-// benchOut (stdout when empty). Offered load scales with capacity: 8
-// saturating closed-loop clients per shard.
-func runFleetBench(seed int64, units, engineWorkers int, benchList, benchOut string) int {
+// runFleetBench measures allocation throughput at each -fleet-bench shard
+// count on a fixed fleet, emitting a JSON document to -bench-out (stdout
+// when empty). Offered load scales with capacity: 8 saturating closed-loop
+// clients per shard.
+func (c *cli) runFleetBench(o chaos.FleetOptions) int {
 	const (
 		warmup = 3 * time.Second
 		window = 6 * time.Second
@@ -542,112 +562,42 @@ func runFleetBench(seed int64, units, engineWorkers int, benchList, benchOut str
 		WarmupSec float64 `json:"warmup_sec"`
 		WindowSec float64 `json:"window_sec"`
 		Points    []point `json:"points"`
-	}{Bench: "fleet-alloc-shard-scaling", Seed: seed, Units: units,
+	}{Bench: "fleet-alloc-shard-scaling", Seed: o.Seed, Units: o.Units,
 		WarmupSec: warmup.Seconds(), WindowSec: window.Seconds()}
-	for _, fld := range strings.Split(benchList, ",") {
+	for _, fld := range strings.Split(c.fleetBench, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(fld))
 		if err != nil || n < 1 {
-			fmt.Fprintf(os.Stderr, "ustore-chaos: bad -fleet-bench shard count %q\n", fld)
-			return 2
+			return c.fail("bad -fleet-bench shard count %q", fld)
 		}
 		v, err := chaos.MeasureFleetAlloc(chaos.FleetOptions{
-			Seed:          seed,
-			Units:         units,
+			Seed:          o.Seed,
+			Units:         o.Units,
 			Shards:        n,
 			Clients:       8 * n,
 			VolumeSize:    8 << 20,
-			EngineWorkers: engineWorkers,
+			EngineWorkers: o.EngineWorkers,
 		}, warmup, window)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "ustore-chaos: fleet bench %d shards: %v\n", n, err)
-			return 2
+			return c.fail("fleet bench %d shards: %v", n, err)
 		}
 		p := point{Shards: n, Clients: 8 * n, AllocsPerSec: v, Speedup: 1}
 		if len(doc.Points) > 0 {
 			p.Speedup = v / doc.Points[0].AllocsPerSec
 		}
 		doc.Points = append(doc.Points, p)
-		fmt.Fprintf(os.Stderr, "ustore-chaos: fleet bench %2d shards: %.0f allocs/sec\n", n, v)
+		fmt.Fprintf(c.stderr, "ustore-chaos: fleet bench %2d shards: %.0f allocs/sec\n", n, v)
 	}
 	out, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "ustore-chaos: %v\n", err)
-		return 2
+		return c.fail("%v", err)
 	}
 	out = append(out, '\n')
-	if benchOut == "" {
-		fmt.Print(string(out))
+	if c.benchOut == "" {
+		fmt.Fprint(c.stdout, string(out))
 		return 0
 	}
-	if err := os.WriteFile(benchOut, out, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "ustore-chaos: writing bench: %v\n", err)
-		return 2
-	}
-	return 0
-}
-
-// writeSLO writes a traffic run's SLO report text to path.
-func writeSLO(rep *chaos.Report, path string) error {
-	if rep.SLO == nil {
-		return fmt.Errorf("run produced no SLO report")
-	}
-	return os.WriteFile(path, []byte(rep.SLO.Text()), 0o644)
-}
-
-// runSweep executes a multi-seed sweep and prints each seed's summary in
-// seed order. Exit status 1 if any seed violated an invariant.
-func runSweep(base chaos.Options, seeds, parallel int, wantRec bool, metricsOut, traceOut string, showSched, showLog bool, sloOut string) int {
-	var recs map[int64]*obs.Recorder
-	var recFor func(seed int64) *obs.Recorder
-	if wantRec {
-		recs = make(map[int64]*obs.Recorder, seeds)
-		for s := base.Seed; s < base.Seed+int64(seeds); s++ {
-			recs[s] = obs.NewRecorder()
-		}
-		recFor = func(seed int64) *obs.Recorder { return recs[seed] }
-	}
-
-	reps, err := chaos.Sweep(base, seeds, parallel, recFor)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ustore-chaos: %v\n", err)
-		return 2
-	}
-
-	violated := false
-	for _, rep := range reps {
-		if metricsOut != "" {
-			if werr := writeMetrics(recs[rep.Seed], seedPath(metricsOut, rep.Seed)); werr != nil {
-				fmt.Fprintf(os.Stderr, "ustore-chaos: writing metrics: %v\n", werr)
-				return 2
-			}
-		}
-		if traceOut != "" {
-			if werr := writeTrace(recs[rep.Seed], seedPath(traceOut, rep.Seed)); werr != nil {
-				fmt.Fprintf(os.Stderr, "ustore-chaos: writing trace: %v\n", werr)
-				return 2
-			}
-		}
-		if sloOut != "" {
-			if werr := writeSLO(rep, seedPath(sloOut, rep.Seed)); werr != nil {
-				fmt.Fprintf(os.Stderr, "ustore-chaos: writing SLO report: %v\n", werr)
-				return 2
-			}
-		}
-		if showSched {
-			for _, f := range rep.Schedule {
-				fmt.Printf("  %-14v %s\n", f.At, f)
-			}
-		}
-		if showLog {
-			fmt.Println(rep.LogText())
-		}
-		fmt.Print(rep.SummaryText())
-		if len(rep.Violations) > 0 {
-			violated = true
-		}
-	}
-	if violated {
-		return 1
+	if err := os.WriteFile(c.benchOut, out, 0o644); err != nil {
+		return c.fail("writing bench: %v", err)
 	}
 	return 0
 }

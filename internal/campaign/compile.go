@@ -22,21 +22,27 @@ import (
 // equal hashes run identical simulations.
 func CompileChaos(s *spec.Spec) chaos.Options {
 	o := chaos.DefaultOptions(s.Seed, time.Duration(s.Days*float64(24*time.Hour)))
-	o.HostCrashes = s.Faults.HostCrashes
-	o.DiskFaults = s.Faults.Disks
-	o.HubFaults = s.Faults.Hubs
-	o.NetFaults = s.Faults.Net
-	o.Corruptions = s.Faults.Corruptions
-	o.GrayFaults = s.Faults.Gray
-	o.Mitigation = s.Faults.Mitigation
-	o.Pairs = s.Faults.Pairs
-	o.BlocksPerSpace = s.Faults.BlocksPerSpace
 	if s.Mode == "traffic" {
+		// Traffic mode replaces the fault schedule entirely.
+		o.HostCrashes, o.DiskFaults, o.HubFaults, o.NetFaults, o.Corruptions = false, false, false, false, false
 		o.Tenants = true
 		o.Storm = s.Traffic.Storm
 		o.Protect = s.Traffic.Protect
-		o.StreamQuantiles = s.Traffic.StreamQuantiles
+		return o
 	}
+	f := s.Faults
+	o.HostCrashes = f.HostCrashes
+	o.DiskFaults = f.Disks
+	o.HubFaults = f.Hubs
+	o.NetFaults = f.Net
+	o.Corruptions = f.Corruptions
+	o.GrayFaults = f.Gray
+	o.Mitigation = f.Mitigation
+	o.Pairs = f.Pairs
+	o.BlocksPerSpace = f.BlocksPerSpace
+	o.DisableChecksums = f.NoChecksums
+	o.InjectStaleLease = f.StaleLease
+	o.InjectQuarantineBlind = f.QuarantineBlind
 	if s.Failure.Model == "empirical" {
 		o.Empirical = s.EmpiricalModel()
 		o.AgeYears = s.Failure.AgeYears

@@ -17,7 +17,6 @@ import (
 	"ustore/internal/fleet"
 	"ustore/internal/model"
 	"ustore/internal/obs"
-	"ustore/internal/runner"
 )
 
 // FleetOptions parameterizes a fleet-scale chaos run.
@@ -502,18 +501,6 @@ func settleUntil(f *fleet.Fleet, step, max time.Duration, done func() bool) bool
 		return "condition pending"
 	})
 	return ok
-}
-
-// FleetSweep runs base across n consecutive seeds on up to parallel
-// workers, one report per seed in seed order. Each run owns its scheduler,
-// so parallel reports are byte-identical to sequential ones.
-func FleetSweep(base FleetOptions, n, parallel int) ([]*FleetReport, error) {
-	return runner.MapErr(n, parallel, func(i int) (*FleetReport, error) {
-		o := base
-		o.Seed = base.Seed + int64(i)
-		o.Recorder = nil
-		return RunFleet(o)
-	})
 }
 
 // MeasureFleetAlloc measures steady-state allocation throughput (volumes

@@ -1,9 +1,12 @@
 package chaos
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
+
+	"ustore/internal/obs"
 )
 
 // TestFleetUnitLossSmall runs the quick 8-unit/2-shard unit-loss scenario:
@@ -123,23 +126,48 @@ func TestFleetDeterministicReport(t *testing.T) {
 
 // TestFleetSweepParallelMatchesSequential proves worker count cannot leak
 // into results: a 3-seed sweep on 3 workers is byte-identical to the same
-// sweep run sequentially.
+// sweep run sequentially — logs, summaries, and each seed's own metrics
+// recorder.
 func TestFleetSweepParallelMatchesSequential(t *testing.T) {
 	base := FleetOptions{Seed: 21, Units: 8, Shards: 2, UnitLoss: true}
-	seq, err := FleetSweep(base, 3, 1)
-	if err != nil {
-		t.Fatal(err)
+	sweep := func(parallel int) ([]*FleetReport, map[int64][]byte) {
+		recs := make(map[int64]*obs.Recorder)
+		for s := base.Seed; s < base.Seed+3; s++ {
+			recs[s] = obs.NewRecorder()
+		}
+		reps, err := Sweep(base, 3, parallel, func(seed int64) *obs.Recorder { return recs[seed] }, RunFleet)
+		if err != nil {
+			t.Fatal(err)
+		}
+		metrics := make(map[int64][]byte)
+		for seed, rec := range recs {
+			var buf bytes.Buffer
+			if err := rec.Registry().WriteJSON(&buf); err != nil {
+				t.Fatal(err)
+			}
+			metrics[seed] = buf.Bytes()
+		}
+		return reps, metrics
 	}
-	par, err := FleetSweep(base, 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq, seqMetrics := sweep(1)
+	par, parMetrics := sweep(3)
 	for i := range seq {
+		seed := seq[i].Seed
+		if seed != base.Seed+int64(i) || par[i].Seed != seed {
+			t.Fatalf("seed order broken at %d: seq %d par %d", i, seed, par[i].Seed)
+		}
 		if seq[i].LogText() != par[i].LogText() {
-			t.Fatalf("seed %d: parallel log diverges from sequential", seq[i].Seed)
+			t.Fatalf("seed %d: parallel log diverges from sequential", seed)
 		}
 		if seq[i].SummaryText() != par[i].SummaryText() {
-			t.Fatalf("seed %d: parallel summary diverges from sequential", seq[i].Seed)
+			t.Fatalf("seed %d: parallel summary diverges from sequential", seed)
+		}
+		if len(seqMetrics[seed]) < 100 {
+			t.Fatalf("seed %d: recorder saw no metrics (%d bytes)", seed, len(seqMetrics[seed]))
+		}
+		if !bytes.Equal(seqMetrics[seed], parMetrics[seed]) {
+			t.Errorf("seed %d: parallel metrics diverge from sequential (%d vs %d bytes)",
+				seed, len(seqMetrics[seed]), len(parMetrics[seed]))
 		}
 	}
 }

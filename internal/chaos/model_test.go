@@ -90,7 +90,7 @@ func TestModelCheckerCleanSweep(t *testing.T) {
 	}
 	base := staleLeaseOptions(100, false)
 	base.Duration = 24 * time.Hour
-	reps, err := Sweep(base, seeds, 4, nil)
+	reps, err := Sweep(base, seeds, 4, nil, Run)
 	if err != nil {
 		t.Fatalf("sweep: %v", err)
 	}

@@ -23,11 +23,11 @@ func TestSweepParallelMatchesSequential(t *testing.T) {
 	const seeds = 8
 	base := sweepOptions(*chaosSeed)
 
-	seq, err := Sweep(base, seeds, 1, nil)
+	seq, err := Sweep(base, seeds, 1, nil, Run)
 	if err != nil {
 		t.Fatalf("sequential sweep: %v", err)
 	}
-	par, err := Sweep(base, seeds, 4, nil)
+	par, err := Sweep(base, seeds, 4, nil, Run)
 	if err != nil {
 		t.Fatalf("parallel sweep: %v", err)
 	}
@@ -59,7 +59,7 @@ func TestSweepPerSeedRecorders(t *testing.T) {
 	for s := base.Seed; s < base.Seed+seeds; s++ {
 		recs[s] = obs.NewRecorder()
 	}
-	reps, err := Sweep(base, seeds, 2, func(seed int64) *obs.Recorder { return recs[seed] })
+	reps, err := Sweep(base, seeds, 2, func(seed int64) *obs.Recorder { return recs[seed] }, Run)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,25 +9,46 @@ import (
 )
 
 // Sweep runs base across n consecutive seeds (base.Seed, base.Seed+1, …,
-// base.Seed+n-1) on up to parallel workers, returning one report per seed in
+// base.Seed+n-1) through run — Run for cluster options, RunFleet for fleet
+// options — on up to parallel workers, returning one report per seed in
 // seed order. Each run builds its own cluster and scheduler, so runs share
-// no state and the reports are byte-identical to what n sequential Run calls
-// would produce — TestSweepParallelMatchesSequential proves it.
+// no state and the reports are byte-identical to what n sequential calls
+// would produce — TestSweepParallelMatchesSequential and
+// TestFleetSweepParallelMatchesSequential prove it.
 //
 // recFor, when non-nil, supplies a fresh per-seed Recorder (installed as
-// that run's Options.Recorder). base.Recorder itself is ignored: sharing one
+// that run's Recorder). base's own Recorder is ignored: sharing one
 // recorder across concurrent runs would interleave trace events
 // nondeterministically.
-func Sweep(base Options, n, parallel int, recFor func(seed int64) *obs.Recorder) ([]*Report, error) {
-	return runner.MapErr(n, parallel, func(i int) (*Report, error) {
-		o := base
-		o.Seed = base.Seed + int64(i)
-		o.Recorder = nil
-		if recFor != nil {
-			o.Recorder = recFor(o.Seed)
-		}
-		return Run(o)
+func Sweep[O sweepable[O], R any](base O, n, parallel int, recFor func(seed int64) *obs.Recorder, run func(O) (R, error)) ([]R, error) {
+	return runner.MapErr(n, parallel, func(i int) (R, error) {
+		return run(base.forSeed(int64(i), recFor))
 	})
+}
+
+// sweepable is an options struct Sweep can re-seed: Options or FleetOptions.
+type sweepable[O any] interface {
+	// forSeed returns the options of the sweep's i-th run.
+	forSeed(i int64, recFor func(seed int64) *obs.Recorder) O
+}
+
+func (o Options) forSeed(i int64, recFor func(seed int64) *obs.Recorder) Options {
+	o.Seed += i
+	o.Recorder = seedRecorder(o.Seed, recFor)
+	return o
+}
+
+func (o FleetOptions) forSeed(i int64, recFor func(seed int64) *obs.Recorder) FleetOptions {
+	o.Seed += i
+	o.Recorder = seedRecorder(o.Seed, recFor)
+	return o
+}
+
+func seedRecorder(seed int64, recFor func(seed int64) *obs.Recorder) *obs.Recorder {
+	if recFor == nil {
+		return nil
+	}
+	return recFor(seed)
 }
 
 // SummaryText renders the per-seed summary block ustore-chaos prints for a

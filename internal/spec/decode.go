@@ -1,8 +1,11 @@
 package spec
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -17,7 +20,16 @@ type decoder struct {
 }
 
 func (d *decoder) errf(n *Node, format string, args ...any) error {
-	return errAt(d.file, n.Line, n.Col, format, args...)
+	return d.keyErrf(n, n.Line, n.Col, format, args...)
+}
+
+// keyErrf reports an error about the entry whose key sits at line:col and
+// whose value is v — naming the flag instead when a flag set v.
+func (d *decoder) keyErrf(v *Node, line, col int, format string, args ...any) error {
+	if v.flag != "" {
+		return fmt.Errorf("flag %s: %s", v.flag, fmt.Sprintf(format, args...))
+	}
+	return errAt(d.file, line, col, format, args...)
 }
 
 func (d *decoder) scalar(n *Node, field string) (*Node, error) {
@@ -76,18 +88,6 @@ func (d *decoder) floatVal(n *Node, field string) (float64, error) {
 	return v, nil
 }
 
-// section returns key's value when it is a mapping.
-func (d *decoder) section(n *Node, key string) (*Node, error) {
-	c := n.child(key)
-	if c == nil {
-		return nil, nil
-	}
-	if c.Kind != KindMap {
-		return nil, d.errf(c, "section %s: expected nested keys, got a %s", key, c.Kind)
-	}
-	return c, nil
-}
-
 // eachField iterates a mapping's entries through fn; fn returns false for
 // a key it does not know, which becomes the positional unknown-field
 // error (with the section name, so typos are easy to place).
@@ -98,7 +98,7 @@ func (d *decoder) eachField(n *Node, section string, fn func(key string, v *Node
 			return err
 		}
 		if !known {
-			return errAt(d.file, n.KeyLines[i], n.KeyCols[i], "unknown field %q in %s", key, section)
+			return d.keyErrf(n.Children[i], n.KeyLines[i], n.KeyCols[i], "unknown field %q in %s", key, section)
 		}
 	}
 	return nil
@@ -109,285 +109,152 @@ func (d *decoder) eachField(n *Node, section string, fn func(key string, v *Node
 func DecodeSpec(root *Node, file string) (*Spec, error) {
 	d := &decoder{file: file}
 	s := Default()
-	err := d.eachField(root, "spec", func(key string, v *Node) (bool, error) {
-		var err error
-		switch key {
-		case "name":
-			s.Name, err = d.str(v, "name")
-		case "mode":
-			s.Mode, err = d.str(v, "mode")
-		case "seed":
-			s.Seed, err = d.intVal(v, "seed")
-		case "days":
-			s.Days, err = d.floatVal(v, "days")
-		case "faults":
-			err = d.faultsSection(v, s)
-		case "failure":
-			err = d.failureSection(v, s)
-		case "traffic":
-			err = d.trafficSection(v, s)
-		case "fleet":
-			err = d.fleetSection(v, s)
-		case "fidelity":
-			err = d.fidelitySection(v, s)
-		case "durability":
-			err = d.durabilitySection(v, s)
-		case "output":
-			err = d.outputSection(v, s)
-		case "grid":
-			// handled by File.axes; skipped here
-		default:
-			return false, nil
-		}
-		return true, err
-	})
+	err := d.decodeStruct(root, reflect.ValueOf(s).Elem(), "")
 	if err != nil {
 		return nil, err
 	}
 	if root.child("mode") == nil {
 		return nil, d.errf(root, "spec is missing the required field \"mode\"")
 	}
+	if err := d.checkSections(root, s.Mode); err != nil {
+		return nil, err
+	}
 	if err := s.Validate(); err != nil {
+		var fe *fieldError
+		if errors.As(err, &fe) {
+			if n := root.lookup(fe.path); n != nil {
+				return nil, d.errf(n, "%s", fe.msg)
+			}
+		}
 		return nil, fmt.Errorf("%s: %w", file, err)
 	}
 	return s, nil
 }
 
-func (d *decoder) sectionMap(v *Node, name string) (*Node, error) {
-	if v.Kind != KindMap {
-		return nil, d.errf(v, "section %s: expected nested keys, got a %s", name, v.Kind)
-	}
-	return v, nil
+// modeSections lists the top-level keys each mode's compile path reads
+// besides name, mode, seed and grid. Any other key is a positional error,
+// so no scenario setting — from the file or from a flag — is silently
+// ignored.
+var modeSections = map[string][]string{
+	"faults":     {"days", "faults", "failure", "output"},
+	"traffic":    {"days", "traffic", "output"},
+	"fleet":      {"fleet", "output"},
+	"fidelity":   {"fidelity"},
+	"durability": {"failure", "durability"},
 }
 
-func (d *decoder) faultsSection(v *Node, s *Spec) error {
-	m, err := d.sectionMap(v, "faults")
-	if err != nil {
-		return err
+// checkSections rejects the first top-level key mode does not read,
+// pointing into a section at its first field (the one a flag set, when a
+// flag created the section). An unknown mode is left to Validate.
+func (d *decoder) checkSections(root *Node, mode string) error {
+	reads, ok := modeSections[mode]
+	if !ok {
+		return nil
 	}
-	return d.eachField(m, "faults", func(key string, v *Node) (bool, error) {
-		var err error
-		switch key {
-		case "host_crashes":
-			s.Faults.HostCrashes, err = d.boolVal(v, "faults.host_crashes")
-		case "disks":
-			s.Faults.Disks, err = d.boolVal(v, "faults.disks")
-		case "hubs":
-			s.Faults.Hubs, err = d.boolVal(v, "faults.hubs")
-		case "net":
-			s.Faults.Net, err = d.boolVal(v, "faults.net")
-		case "corruptions":
-			s.Faults.Corruptions, err = d.boolVal(v, "faults.corruptions")
-		case "gray":
-			s.Faults.Gray, err = d.boolVal(v, "faults.gray")
-		case "mitigation":
-			s.Faults.Mitigation, err = d.boolVal(v, "faults.mitigation")
-		case "pairs":
-			var n int64
-			n, err = d.intVal(v, "faults.pairs")
-			s.Faults.Pairs = int(n)
-		case "blocks_per_space":
-			var n int64
-			n, err = d.intVal(v, "faults.blocks_per_space")
-			s.Faults.BlocksPerSpace = int(n)
-		default:
-			return false, nil
+	for i, key := range root.Keys {
+		if key == "name" || key == "mode" || key == "seed" || key == "grid" || slices.Contains(reads, key) {
+			continue
 		}
-		return true, err
-	})
+		v, path, line, col := root.Children[i], key, root.KeyLines[i], root.KeyCols[i]
+		if v.Kind == KindMap && len(v.Keys) > 0 {
+			path += "." + v.Keys[0]
+			v, line, col = v.Children[0], v.KeyLines[0], v.KeyCols[0]
+		}
+		return d.keyErrf(v, line, col, "%s is not read in mode %s (it reads seed, %s)", path, mode, strings.Join(reads, ", "))
+	}
+	return nil
 }
 
-func (d *decoder) failureSection(v *Node, s *Spec) error {
-	m, err := d.sectionMap(v, "failure")
-	if err != nil {
-		return err
+// decodeStruct decodes mapping n into the struct v, matching each key to
+// a field's json tag — the same names the canonical form (Canonical) uses,
+// so the Spec struct is the one list of fields. path is the section's
+// dotted name ("" at the top level, whose grid key File.decodeAxes reads).
+func (d *decoder) decodeStruct(n *Node, v reflect.Value, path string) error {
+	section := path
+	if section == "" {
+		section = "spec"
 	}
-	return d.eachField(m, "failure", func(key string, v *Node) (bool, error) {
-		var err error
-		switch key {
-		case "model":
-			s.Failure.Model, err = d.str(v, "failure.model")
-		case "age_years":
-			s.Failure.AgeYears, err = d.floatVal(v, "failure.age_years")
-		case "infant_afr":
-			s.Failure.InfantAFR, err = d.floatVal(v, "failure.infant_afr")
-		case "infant_decay_days":
-			s.Failure.InfantDecayDays, err = d.floatVal(v, "failure.infant_decay_days")
-		case "useful_afr":
-			s.Failure.UsefulAFR, err = d.floatVal(v, "failure.useful_afr")
-		case "wear_out_years":
-			s.Failure.WearOutYears, err = d.floatVal(v, "failure.wear_out_years")
-		case "wear_out_rise":
-			s.Failure.WearOutRise, err = d.floatVal(v, "failure.wear_out_rise")
-		case "batch_size":
-			var n int64
-			n, err = d.intVal(v, "failure.batch_size")
-			s.Failure.BatchSize = int(n)
-		case "batch_shock":
-			s.Failure.BatchShock, err = d.floatVal(v, "failure.batch_shock")
-		case "batch_window_days":
-			s.Failure.BatchWindowDays, err = d.floatVal(v, "failure.batch_window_days")
-		case "ure_bits":
-			// Accept the two named measurement points or a number.
-			if str, serr := d.str(v, "failure.ure_bits"); serr == nil {
-				switch str {
-				case "spec":
-					s.Failure.UREBits = faults.SpecUREBits
-					return true, nil
-				case "observed":
-					s.Failure.UREBits = faults.ObservedUREBits
-					return true, nil
-				case "off":
-					s.Failure.UREBits = 0
-					return true, nil
+	if n.Kind != KindMap {
+		return d.errf(n, "section %s: expected nested keys, got a %s", section, n.Kind)
+	}
+	t := v.Type()
+	return d.eachField(n, section, func(key string, c *Node) (bool, error) {
+		if path == "" && key == "grid" {
+			return true, nil
+		}
+		for i := 0; i < t.NumField(); i++ {
+			if t.Field(i).Tag.Get("json") == key {
+				name := key
+				if path != "" {
+					name = path + "." + key
 				}
+				return true, d.decodeValue(c, v.Field(i), name)
 			}
-			s.Failure.UREBits, err = d.floatVal(v, "failure.ure_bits")
-			if err != nil {
-				err = d.errf(v, "field failure.ure_bits: want a number of bits-per-error, \"spec\", \"observed\", or \"off\"")
+		}
+		return false, nil
+	})
+}
+
+// ureBitsNames are the named measurement points failure.ure_bits accepts
+// besides a number.
+var ureBitsNames = map[string]float64{
+	"spec":     faults.SpecUREBits,
+	"observed": faults.ObservedUREBits,
+	"off":      0,
+}
+
+// decodeValue decodes n into the field v, named name in errors.
+func (d *decoder) decodeValue(n *Node, v reflect.Value, name string) error {
+	switch v.Kind() {
+	case reflect.Struct:
+		return d.decodeStruct(n, v, name)
+	case reflect.Bool:
+		b, err := d.boolVal(n, name)
+		v.SetBool(b)
+		return err
+	case reflect.Int, reflect.Int64:
+		i, err := d.intVal(n, name)
+		v.SetInt(i)
+		return err
+	case reflect.Float64:
+		f, err := d.floatVal(n, name)
+		if err != nil && name == "failure.ure_bits" {
+			named, ok := ureBitsNames[n.Val]
+			if !ok || n.Kind != KindScalar {
+				return d.errf(n, "field failure.ure_bits: want a number of bits-per-error, \"spec\", \"observed\", or \"off\"")
 			}
-		default:
-			return false, nil
+			f, err = named, nil
 		}
-		return true, err
-	})
-}
-
-func (d *decoder) trafficSection(v *Node, s *Spec) error {
-	m, err := d.sectionMap(v, "traffic")
-	if err != nil {
+		v.SetFloat(f)
+		return err
+	case reflect.String:
+		str, err := d.str(n, name)
+		v.SetString(str)
 		return err
 	}
-	return d.eachField(m, "traffic", func(key string, v *Node) (bool, error) {
-		var err error
-		switch key {
-		case "storm":
-			s.Traffic.Storm, err = d.boolVal(v, "traffic.storm")
-		case "protect":
-			s.Traffic.Protect, err = d.boolVal(v, "traffic.protect")
-		case "stream_quantiles":
-			s.Traffic.StreamQuantiles, err = d.boolVal(v, "traffic.stream_quantiles")
-		default:
-			return false, nil
-		}
-		return true, err
-	})
-}
-
-func (d *decoder) fleetSection(v *Node, s *Spec) error {
-	m, err := d.sectionMap(v, "fleet")
-	if err != nil {
-		return err
-	}
-	return d.eachField(m, "fleet", func(key string, v *Node) (bool, error) {
-		var n int64
-		var err error
-		switch key {
-		case "units":
-			n, err = d.intVal(v, "fleet.units")
-			s.Fleet.Units = int(n)
-		case "shards":
-			n, err = d.intVal(v, "fleet.shards")
-			s.Fleet.Shards = int(n)
-		case "clients":
-			n, err = d.intVal(v, "fleet.clients")
-			s.Fleet.Clients = int(n)
-		case "volumes":
-			n, err = d.intVal(v, "fleet.volumes")
-			s.Fleet.Volumes = int(n)
-		case "unit_loss":
-			s.Fleet.UnitLoss, err = d.boolVal(v, "fleet.unit_loss")
-		case "engine_workers":
-			n, err = d.intVal(v, "fleet.engine_workers")
-			s.Fleet.EngineWorkers = int(n)
-		case "crashes":
-			n, err = d.intVal(v, "fleet.crashes")
-			s.Fleet.Crashes = int(n)
-		case "partitions":
-			n, err = d.intVal(v, "fleet.partitions")
-			s.Fleet.Partitions = int(n)
-		case "slot_moves":
-			n, err = d.intVal(v, "fleet.slot_moves")
-			s.Fleet.SlotMoves = int(n)
-		case "fault_window_sec":
-			s.Fleet.FaultWindowSec, err = d.floatVal(v, "fleet.fault_window_sec")
-		case "skip_redrive":
-			s.Fleet.SkipRedrive, err = d.boolVal(v, "fleet.skip_redrive")
-		default:
-			return false, nil
-		}
-		return true, err
-	})
-}
-
-func (d *decoder) fidelitySection(v *Node, s *Spec) error {
-	m, err := d.sectionMap(v, "fidelity")
-	if err != nil {
-		return err
-	}
-	return d.eachField(m, "fidelity", func(key string, v *Node) (bool, error) {
-		var err error
-		switch key {
-		case "check":
-			s.Fidelity.Check, err = d.str(v, "fidelity.check")
-		default:
-			return false, nil
-		}
-		return true, err
-	})
-}
-
-func (d *decoder) durabilitySection(v *Node, s *Spec) error {
-	m, err := d.sectionMap(v, "durability")
-	if err != nil {
-		return err
-	}
-	return d.eachField(m, "durability", func(key string, v *Node) (bool, error) {
-		var n int64
-		var err error
-		switch key {
-		case "scheme":
-			s.Durability.Scheme, err = d.str(v, "durability.scheme")
-		case "disks":
-			n, err = d.intVal(v, "durability.disks")
-			s.Durability.Disks = int(n)
-		case "disk_tb":
-			s.Durability.DiskTB, err = d.floatVal(v, "durability.disk_tb")
-		case "years":
-			s.Durability.Years, err = d.floatVal(v, "durability.years")
-		case "repair_hours":
-			s.Durability.RepairHours, err = d.floatVal(v, "durability.repair_hours")
-		case "trials":
-			n, err = d.intVal(v, "durability.trials")
-			s.Durability.Trials = int(n)
-		default:
-			return false, nil
-		}
-		return true, err
-	})
-}
-
-func (d *decoder) outputSection(v *Node, s *Spec) error {
-	m, err := d.sectionMap(v, "output")
-	if err != nil {
-		return err
-	}
-	return d.eachField(m, "output", func(key string, v *Node) (bool, error) {
-		var err error
-		switch key {
-		case "log":
-			s.Output.Log, err = d.boolVal(v, "output.log")
-		default:
-			return false, nil
-		}
-		return true, err
-	})
+	panic("spec: field " + name + " has no decoder for kind " + v.Kind().String())
 }
 
 // Parse parses and decodes a spec document (YAML subset or JSON — sniffed
 // from the first non-space byte), returning the File handle grid
 // expansion and hashing hang off.
 func Parse(data []byte, file string) (*File, error) {
+	return ParseWith(data, file, nil)
+}
+
+// Override is one assignment to a dotted spec path from outside the
+// document — a ustore-chaos scenario flag such as -units (fleet.units).
+type Override struct {
+	Path  string // dotted field path, e.g. "fleet.units"
+	Value string // scalar text, decoded exactly like a document value
+	Flag  string // the flag that set it, e.g. "-units"; errors name it
+}
+
+// ParseWith is Parse with overrides applied to the document before it is
+// decoded: each replaces (or adds) the scalar at its path, so it wins over
+// the file and is checked like any document value. Two overrides setting
+// one path to different values are a conflict.
+func ParseWith(data []byte, file string, overrides []Override) (*File, error) {
 	var root *Node
 	var err error
 	if isJSON(data) {
@@ -397,6 +264,16 @@ func Parse(data []byte, file string) (*File, error) {
 	}
 	if err != nil {
 		return nil, err
+	}
+	set := make(map[string]Override, len(overrides))
+	for _, o := range overrides {
+		if prev, ok := set[o.Path]; ok && prev.Value != o.Value {
+			return nil, fmt.Errorf("flags %s and %s both set %s (%s vs %s)", prev.Flag, o.Flag, o.Path, prev.Value, o.Value)
+		}
+		set[o.Path] = o
+		if err := applyOverride(root, o.Path, &Node{Kind: KindScalar, Val: o.Value, flag: o.Flag}, file); err != nil {
+			return nil, err
+		}
 	}
 	f := &File{Path: file, root: root}
 	if f.Spec, err = DecodeSpec(root, file); err != nil {

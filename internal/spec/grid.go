@@ -99,29 +99,31 @@ func (f *File) cellAt(idx []int, n int) (Cell, error) {
 	return cell, nil
 }
 
-// applyOverride sets the scalar at a dotted path, creating intermediate
-// mappings as needed. The decoder validates the resulting field, so a
-// typo'd axis path surfaces as its positional unknown-field error.
+// applyOverride sets the scalar at a dotted path (a grid axis or an
+// Override), creating intermediate mappings as needed. The decoder
+// validates the resulting field, so a typo'd path surfaces as its
+// positional unknown-field error.
 func applyOverride(root *Node, path string, v *Node, file string) error {
+	d := &decoder{file: file}
 	n := root
 	segs := strings.Split(path, ".")
 	for _, seg := range segs[:len(segs)-1] {
 		if seg == "" {
-			return errAt(file, v.Line, v.Col, "grid axis %q: empty path segment", path)
+			return d.errf(v, "override %q: empty path segment", path)
 		}
 		c := n.child(seg)
 		if c == nil {
-			c = &Node{Line: v.Line, Col: v.Col, Kind: KindMap}
+			c = &Node{Line: v.Line, Col: v.Col, Kind: KindMap, flag: v.flag}
 			n.setChild(seg, c)
 		}
 		if c.Kind != KindMap {
-			return errAt(file, v.Line, v.Col, "grid axis %q: %s is a %s, not a section", path, seg, c.Kind)
+			return d.errf(v, "override %q: %s is a %s, not a section", path, seg, c.Kind)
 		}
 		n = c
 	}
 	last := segs[len(segs)-1]
 	if last == "" || last == "grid" || (len(segs) == 1 && root.child(last) != nil && root.child(last).Kind == KindMap) {
-		return errAt(file, v.Line, v.Col, "grid axis %q: cannot override a whole section", path)
+		return d.errf(v, "override %q: cannot override a whole section", path)
 	}
 	n.setChild(last, v.clone())
 	return nil

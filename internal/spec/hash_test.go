@@ -14,7 +14,7 @@ func TestHashStableAcrossFormatting(t *testing.T) {
 		// Comments and blank lines.
 		"# cmt\nmode: durability\n\nseed: 5\ndurability:\n  scheme: r3 # inline\n  disks: 256\n",
 		// Defaults spelled out explicitly.
-		"mode: durability\nseed: 5\ndays: 2\ndurability:\n  scheme: r3\n  disks: 256\n  disk_tb: 4\n",
+		"mode: durability\nseed: 5\nfailure:\n  model: constant\ndurability:\n  scheme: r3\n  disks: 256\n  disk_tb: 4\n",
 		// Same values via JSON.
 		`{"mode": "durability", "seed": 5, "durability": {"scheme": "r3", "disks": 256}}`,
 		// Quoted scalar strings where quoting is value-neutral.
@@ -31,7 +31,7 @@ func TestHashStableAcrossFormatting(t *testing.T) {
 		"mode: durability\nseed: 5\ndurability:\n  scheme: ec8+3\n  disks: 256\n",       // scheme
 		"mode: durability\nseed: 5\ndurability:\n  scheme: r3\n  disks: 257\n",          // disks
 		"mode: durability\nseed: 5\nname: x\ndurability:\n  scheme: r3\n  disks: 256\n", // name
-		"mode: faults\nseed: 5\ndurability:\n  scheme: r3\n  disks: 256\n",              // mode
+		"mode: faults\nseed: 5\n", // mode
 	}
 	for i, doc := range diff {
 		if got := mustHash(t, doc); got == want {

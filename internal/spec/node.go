@@ -65,6 +65,10 @@ type Node struct {
 	// List payload (also Children for maps — a map's Children are its
 	// values; a list's are its items).
 	Children []*Node
+
+	// flag names the command-line flag that set this node (see Override);
+	// errors about it name the flag instead of a file position.
+	flag string
 }
 
 // child returns the map value for key, or nil.
@@ -75,6 +79,17 @@ func (n *Node) child(key string) *Node {
 		}
 	}
 	return nil
+}
+
+// lookup returns the node at a dotted path, or nil.
+func (n *Node) lookup(path string) *Node {
+	for _, seg := range strings.Split(path, ".") {
+		if n == nil || n.Kind != KindMap {
+			return nil
+		}
+		n = n.child(seg)
+	}
+	return n
 }
 
 // setChild replaces key's value, appending the key if absent.

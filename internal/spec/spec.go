@@ -2,6 +2,7 @@ package spec
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -49,6 +50,16 @@ type FaultsSpec struct {
 
 	Pairs          int `json:"pairs"`
 	BlocksPerSpace int `json:"blocks_per_space"`
+
+	// NoChecksums disables the per-block CRCs, so injected corruption
+	// reaches clients silently (the invariant checker's negative control).
+	NoChecksums bool `json:"no_checksums"`
+	// StaleLease plants the stale-lease failover bug the model checker
+	// must catch.
+	StaleLease bool `json:"stale_lease"`
+	// QuarantineBlind makes the allocator ignore quarantine (needs
+	// Mitigation, or there is no quarantine to ignore).
+	QuarantineBlind bool `json:"quarantine_blind"`
 }
 
 // FailureSpec selects and parameterizes the failure model the run sweeps
@@ -83,9 +94,8 @@ type FailureSpec struct {
 
 // TrafficSpec shapes a traffic-mode run.
 type TrafficSpec struct {
-	Storm           bool `json:"storm"`
-	Protect         bool `json:"protect"`
-	StreamQuantiles bool `json:"stream_quantiles"`
+	Storm   bool `json:"storm"`
+	Protect bool `json:"protect"`
 }
 
 // FleetSpec shapes a fleet-mode run. The fault fields mirror the
@@ -180,32 +190,45 @@ func Default() *Spec {
 // Modes lists the valid mode values.
 var Modes = []string{"faults", "traffic", "fleet", "fidelity", "durability"}
 
+// fieldError is a Validate rejection of one field's value. DecodeSpec
+// anchors it at the field: its position in the document, or the flag that
+// set it.
+type fieldError struct {
+	path string // dotted field path, e.g. "fleet.units"
+	msg  string
+}
+
+func (e *fieldError) Error() string { return e.msg }
+
 // Validate rejects semantically impossible specs (shape errors are the
 // decoder's job and carry positions; these are value errors).
 func (s *Spec) Validate() error {
-	ok := false
-	for _, m := range Modes {
-		if s.Mode == m {
-			ok = true
-		}
+	bad := func(path, format string, args ...any) error {
+		return fmt.Errorf("spec %q: %w", s.Name, &fieldError{path: path, msg: fmt.Sprintf(format, args...)})
 	}
-	if !ok {
-		return fmt.Errorf("spec %q: unknown mode %q (want one of %s)", s.Name, s.Mode, strings.Join(Modes, ", "))
+	if !slices.Contains(Modes, s.Mode) {
+		return bad("mode", "unknown mode %q (want one of %s)", s.Mode, strings.Join(Modes, ", "))
 	}
 	if s.Days <= 0 {
-		return fmt.Errorf("spec %q: days must be positive", s.Name)
+		return bad("days", "days must be positive")
 	}
-	if s.Mode == "faults" && (s.Faults.Pairs <= 0 || s.Faults.BlocksPerSpace <= 0) {
-		return fmt.Errorf("spec %q: faults.pairs and faults.blocks_per_space must be positive", s.Name)
+	if s.Mode == "faults" {
+		f := s.Faults
+		if f.Pairs <= 0 || f.BlocksPerSpace <= 0 {
+			return bad("faults.pairs", "faults.pairs and faults.blocks_per_space must be positive")
+		}
+		if f.QuarantineBlind && !f.Mitigation {
+			return bad("faults.quarantine_blind", "faults.quarantine_blind needs faults.mitigation (without quarantine there is no allocator exclusion to ignore)")
+		}
 	}
 	switch s.Failure.Model {
 	case "constant", "empirical":
 	default:
-		return fmt.Errorf("spec %q: failure.model %q (want constant or empirical)", s.Name, s.Failure.Model)
+		return bad("failure.model", "failure.model %q (want constant or empirical)", s.Failure.Model)
 	}
 	if s.Failure.Model == "empirical" {
 		if s.Failure.AgeYears <= 0 {
-			return fmt.Errorf("spec %q: failure.age_years must be positive", s.Name)
+			return bad("failure.age_years", "failure.age_years must be positive")
 		}
 		if err := s.EmpiricalModel().Validate(); err != nil {
 			return fmt.Errorf("spec %q: %w", s.Name, err)
@@ -213,20 +236,27 @@ func (s *Spec) Validate() error {
 	}
 	if s.Mode == "fleet" {
 		fl := s.Fleet
-		if fl.Units <= 0 || fl.Shards <= 0 {
-			return fmt.Errorf("spec %q: fleet.units and fleet.shards must be positive", s.Name)
-		}
-		if fl.Crashes < 0 || fl.Partitions < 0 || fl.SlotMoves < 0 || fl.FaultWindowSec < 0 {
-			return fmt.Errorf("spec %q: fleet fault fields must be non-negative", s.Name)
-		}
-		if fl.SlotMoves > 0 && fl.Shards < 2 {
-			return fmt.Errorf("spec %q: fleet.slot_moves needs fleet.shards >= 2 (a single shard has nowhere to move slots)", s.Name)
+		switch {
+		case fl.Units <= 0:
+			return bad("fleet.units", "fleet.units must be positive")
+		case fl.Shards <= 0:
+			return bad("fleet.shards", "fleet.shards must be positive")
+		case fl.Crashes < 0:
+			return bad("fleet.crashes", "fleet.crashes must be non-negative")
+		case fl.Partitions < 0:
+			return bad("fleet.partitions", "fleet.partitions must be non-negative")
+		case fl.SlotMoves < 0:
+			return bad("fleet.slot_moves", "fleet.slot_moves must be non-negative")
+		case fl.FaultWindowSec < 0:
+			return bad("fleet.fault_window_sec", "fleet.fault_window_sec must be non-negative")
+		case fl.SlotMoves > 0 && fl.Shards < 2:
+			return bad("fleet.slot_moves", "fleet.slot_moves needs fleet.shards >= 2 (a single shard has nowhere to move slots)")
 		}
 	}
 	if s.Mode == "durability" {
 		d := s.Durability
 		if _, _, err := ParseScheme(d.Scheme); err != nil {
-			return fmt.Errorf("spec %q: %w", s.Name, err)
+			return bad("durability.scheme", "%v", err)
 		}
 		if d.Disks <= 0 || d.Years <= 0 || d.DiskTB <= 0 || d.RepairHours <= 0 || d.Trials <= 0 {
 			return fmt.Errorf("spec %q: durability dimensions must be positive", s.Name)

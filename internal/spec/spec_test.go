@@ -134,6 +134,11 @@ func TestPositionalErrors(t *testing.T) {
 		{"unsupported anchor", "mode: faults\nname: &a x\n", "spec.yaml:2:7", "unsupported YAML syntax"},
 		{"json trailing", `{"mode": "faults"} {`, "sample", "trailing data"},
 		{"json unknown field", "{\n \"mode\": \"faults\",\n \"bogus\": 1\n}", "sample.json:3", "unknown field \"bogus\""},
+		{"key the mode ignores", "mode: fleet\ndays: 3\n", "spec.yaml:2:1", "days is not read in mode fleet"},
+		{"section the mode ignores", "mode: traffic\nfaults:\n  gray: true\n", "spec.yaml:3:3", "faults.gray is not read in mode traffic"},
+		{"stream_quantiles is gone", "mode: traffic\ntraffic:\n  stream_quantiles: true\n", "spec.yaml:3:3", "unknown field \"stream_quantiles\" in traffic"},
+		{"value error at its field", "mode: faults\ndays: 0\n", "spec.yaml:2:7", "days must be positive"},
+		{"quarantine_blind needs mitigation", "mode: faults\nfaults:\n  quarantine_blind: true\n", "spec.yaml:3:21", "needs faults.mitigation"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -219,5 +224,44 @@ func TestCommentsAndQuoting(t *testing.T) {
 	}
 	if f.Spec.Name != "a # not-a-comment" || f.Spec.Seed != 9 {
 		t.Fatalf("comment stripping broke values: %+v", f.Spec)
+	}
+}
+
+// TestOverrides: overrides win over the document, are decoded like its
+// values, and any error about one names the flag that set it.
+func TestOverrides(t *testing.T) {
+	doc := "mode: fleet\nseed: 4\nfleet:\n  units: 4\n"
+	f, err := ParseWith([]byte(doc), "f.yaml", []Override{
+		{Path: "fleet.units", Value: "16", Flag: "-units"},
+		{Path: "fleet.fault_window_sec", Value: "90", Flag: "-fault-window"},
+		{Path: "output.log", Value: "true", Flag: "-log"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := f.Spec
+	if s.Seed != 4 || s.Fleet.Units != 16 || s.Fleet.FaultWindowSec != 90 || !s.Output.Log {
+		t.Fatalf("overrides not applied: %+v", s)
+	}
+	for _, c := range []struct {
+		name string
+		ovs  []Override
+		want string
+	}{
+		{"conflict", []Override{{"mode", "fleet", "-fleet"}, {"mode", "traffic", "-tenants"}},
+			"flags -fleet and -tenants both set mode (fleet vs traffic)"},
+		{"mode ignores the path", []Override{{"days", "3", "-days"}}, "flag -days: days is not read in mode fleet"},
+		{"type mismatch", []Override{{"fleet.units", "many", "-units"}}, "flag -units: field fleet.units: cannot parse"},
+		{"value error", []Override{{"fleet.shards", "0", "-shards"}}, "flag -shards: fleet.shards must be positive"},
+		{"unknown path", []Override{{"fleet.bogus", "1", "-bogus"}}, "flag -bogus: unknown field \"bogus\" in fleet"},
+	} {
+		_, err := ParseWith([]byte(doc), "f.yaml", c.ovs)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want %q", c.name, err, c.want)
+		}
+	}
+	// Equal values from two flags are not a conflict.
+	if _, err := ParseWith([]byte(doc), "f.yaml", []Override{{"seed", "2", "-a"}, {"seed", "2", "-b"}}); err != nil {
+		t.Errorf("equal overrides rejected: %v", err)
 	}
 }
