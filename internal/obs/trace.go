@@ -43,12 +43,15 @@ type traceEvent struct {
 	args  []Label
 }
 
-// NewTracer creates a tracer holding at most capacity events.
+// NewTracer creates a tracer holding at most capacity events. The ring
+// grows on demand up to capacity rather than being allocated up front: a
+// fleet gives every partition its own tracer, and most of them record far
+// fewer events than DefaultTraceCap.
 func NewTracer(capacity int) *Tracer {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Tracer{cap: capacity, ring: make([]traceEvent, 0, capacity)}
+	return &Tracer{cap: capacity}
 }
 
 // BindClock sets the simulated-time source.
